@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.api import ParallelLoop, TargetRegion
 from repro.core.buffers import Buffer, ExecutionMode, OffsetArray
 from repro.core.omp_ast import REDUCTION_OPS, MapType
-from repro.core.partition import partition_for_tile, partition_windows
+from repro.core.partition import partition_windows
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
@@ -41,7 +41,7 @@ from repro.obs.events import CheckpointCommit, get_bus
 from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_call
 from repro.simtime.timeline import Phase
 from repro.spark.context import SparkContext
-from repro.spark.driver import TaskCosts, TaskCostsArrays
+from repro.spark.driver import TaskCostsArrays
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.cloud.storage import TransientStorageError
@@ -349,8 +349,24 @@ class SparkJobGenerator:
             nm for nm in loop.reads if nm in loop.partitions and loop.partitions[nm].is_partitioned
         ]
         broadcast_reads = [nm for nm in loop.reads if nm not in partitioned_reads]
+        # Partitioned outputs: each task returns only its own window.
+        split_writes = [
+            nm for nm in loop.writes
+            if nm not in loop.reduction_vars and nm in loop.partitions
+            and loop.partitions[nm].is_partitioned
+        ]
         self._check_jvm_limits(loop)
-        self._check_executor_memory(loop, tiles, partitioned_reads, broadcast_reads)
+        # Every partitioned buffer's per-tile windows (Eq. 3), evaluated once
+        # per loop over all tiles and shared by the memory check, the task
+        # costs and the functional elements.
+        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=len(tiles))
+        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=len(tiles))
+        windows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for nm in dict.fromkeys(partitioned_reads + split_writes):
+            windows[nm] = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
+            self._check_windows(self._buffer_info[nm], *windows[nm])
+        self._check_executor_memory(loop, windows, len(tiles), partitioned_reads,
+                                    split_writes, broadcast_reads)
 
         # Resume: drop tiles whose outputs were durably committed before the
         # crash.  A checkpoint only counts if the current tiling produced the
@@ -364,6 +380,12 @@ class SparkJobGenerator:
                 and by_index[i].lo == c.lo and by_index[i].hi == c.hi
             }
         live = [t for t in tiles if t.index not in completed]
+        if completed:
+            keep = np.fromiter((t.index not in completed for t in tiles),
+                               dtype=bool, count=len(tiles))
+            lo, hi = lo[keep], hi[keep]
+            windows = {nm: (wlo[keep], whi[keep])
+                       for nm, (wlo, whi) in windows.items()}
 
         self.sc.log.info(clock.now, "OmpCloudJob",
                          f"loop over {loop.loop_var!r}: {n} iterations -> "
@@ -391,14 +413,17 @@ class SparkJobGenerator:
             value = self._driver_arrays[nm] if self.mode == ExecutionMode.FUNCTIONAL else None
             handles[nm] = self.sc.broadcast(value, nbytes=wire)
 
-        costs_for, costs_arrays = self._make_costs_fn(
-            loop, live, partitioned_reads, broadcast_reads)
+        costs = self._task_costs(loop, live, lo, hi, windows, partitioned_reads,
+                                 split_writes, broadcast_reads)
+        elements = self._elements_for(live, windows, partitioned_reads)
+        # Free the bounds and windows before the job runs: at a million tiles
+        # they are a sizable share of peak memory.
+        del lo, hi, windows
         job = None
         computation = 0.0
         if live:
-            elements = self._elements_for(live, loop, partitioned_reads)
             rdd = self.sc.parallelize(elements, num_slices=len(live))
-            map_fn = self._make_map_fn(loop, partitioned_reads, handles)
+            map_fn = self._make_map_fn(loop, partitioned_reads, split_writes, handles)
             mapped = rdd.map(map_fn)
 
             self.sc.cluster.reset_pools()
@@ -407,8 +432,7 @@ class SparkJobGenerator:
                              f"({len(live)} tasks)")
             job = self.sc.driver.run_job(
                 mapped,
-                costs_for=costs_for,
-                costs_arrays=costs_arrays,
+                costs=costs,
                 broadcasts=tuple(handles.values()),
                 fault_plan=self.fault_plan,
                 functional=self.mode == ExecutionMode.FUNCTIONAL,
@@ -422,13 +446,12 @@ class SparkJobGenerator:
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
             computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
 
-        committed = self._commit_checkpoints(loop, live, job, costs_for)
+        committed = self._commit_checkpoints(loop, live, job, costs)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)
 
         partitions = (list(job.partitions) if job is not None else []) + restored
         self._reconstruct(loop, partitions, tiles)
-        task_bytes = int(np.sum(costs_arrays.input_bytes)
-                         + np.sum(costs_arrays.output_bytes))
+        task_bytes = int(np.sum(costs.input_bytes) + np.sum(costs.output_bytes))
         return LoopJobReport(
             loop_var=loop.loop_var,
             n_tasks=len(live),
@@ -444,7 +467,7 @@ class SparkJobGenerator:
         )
 
     def _commit_checkpoints(self, loop: ParallelLoop, live: list[Tile],
-                            job, costs_for) -> int:
+                            job, costs: TaskCostsArrays) -> int:
         """Durably commit each completed tile's output (tile-granular
         checkpointing).  Only completions that landed *before* a pending
         driver death were flushed; later ones died with the driver.  Commits
@@ -457,7 +480,7 @@ class SparkJobGenerator:
         committed = 0
         write_s = 0.0
         for tres in job.stats.results:
-            split = tres.task.split
+            split = tres.split
             tile = live[split]
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
@@ -467,7 +490,7 @@ class SparkJobGenerator:
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
             else:
                 obj = self._storage_retry("PUT", storage.put, key,
-                                          size=costs_for(split).output_bytes)
+                                          size=int(costs.output_bytes[split]))
             write_s += storage.cluster_write_time(obj.size)
             self._storage_bytes_written += obj.size
             if self.journal is not None:
@@ -540,45 +563,38 @@ class SparkJobGenerator:
         return drop_empty_tiles(tile_iterations(n, cores))
 
     # ------------------------------------------------------------- elements
-    def _element_for(self, tile: Tile, loop: ParallelLoop, partitioned_reads: list[str]):
-        windows: dict[str, tuple[int, Any]] = {}
-        for nm in partitioned_reads:
-            lo, hi = partition_for_tile(loop.partitions[nm], tile, self.scalars)
-            buf = self._buffer_info[nm]
-            buf._check_range(lo, hi)
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                arr = self._driver_arrays[nm]
-                assert arr is not None
-                windows[nm] = (lo, arr[lo:hi].copy())
-            else:
-                windows[nm] = (lo, None)
-        return (tile.index, tile.lo, tile.hi, windows)
-
-    def _elements_for(self, tiles: list[Tile], loop: ParallelLoop,
+    def _elements_for(self, tiles: list[Tile],
+                      windows: dict[str, tuple[np.ndarray, np.ndarray]],
                       partitioned_reads: list[str]) -> Sequence[Any]:
         """RDD elements for every live tile.
 
         Modeled jobs never read the element payloads (no closures run, no
-        sizes are measured), so the elements collapse to ``range(n)`` — only
-        the window-bound *validation* survives, done in one vectorized pass
-        so out-of-range partition clauses still raise the same errors as the
-        scalar path.  Functional jobs keep the scalar path, which copies the
-        real window data.
+        sizes are measured), so the elements collapse to ``range(n)``.
+        Functional elements are ``(index, lo, hi, windows)``: each
+        partitioned buffer's ``(lo, hi, data)`` window, ``data`` a copy of
+        the real array slice for reads and ``None`` for write-only outputs.
         """
-        if self.mode == ExecutionMode.FUNCTIONAL:
-            if not partitioned_reads:
-                return [(t.index, t.lo, t.hi, {}) for t in tiles]
-            return [self._element_for(t, loop, partitioned_reads) for t in tiles]
-        if partitioned_reads:
-            n = len(tiles)
-            lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-            hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
-            for nm in partitioned_reads:
-                wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-                self._check_windows(self._buffer_info[nm], wlo, whi)
-        return range(len(tiles))
+        if self.mode != ExecutionMode.FUNCTIONAL:
+            return range(len(tiles))
+        reads = set(partitioned_reads)
+        bounds = [(nm, wlo.tolist(), whi.tolist())
+                  for nm, (wlo, whi) in windows.items()]
+        elements = []
+        for j, t in enumerate(tiles):
+            tile_windows: dict[str, tuple[int, int, Any]] = {}
+            for nm, wlo, whi in bounds:
+                w_lo, w_hi = wlo[j], whi[j]
+                data = None
+                if nm in reads:
+                    arr = self._driver_arrays[nm]
+                    assert arr is not None
+                    data = arr[w_lo:w_hi].copy()
+                tile_windows[nm] = (w_lo, w_hi, data)
+            elements.append((t.index, t.lo, t.hi, tile_windows))
+        return elements
 
-    def _make_map_fn(self, loop: ParallelLoop, partitioned_reads: list[str], handles):
+    def _make_map_fn(self, loop: ParallelLoop, partitioned_reads: list[str],
+                     split_writes: list[str], handles):
         """The worker-side mapping function (Eq. 5): run the tile body over
         windows + broadcasts, return the partial outputs (Eq. 6)."""
         region = self.region
@@ -586,6 +602,7 @@ class SparkJobGenerator:
         reductions = loop.reduction_vars
         buffer_info = self._buffer_info
         partitioned_set = set(partitioned_reads)
+        split_set = set(split_writes)
 
         def map_fn(elem):
             idx, lo, hi, windows = elem
@@ -593,20 +610,19 @@ class SparkJobGenerator:
             outs: dict[str, tuple] = {}
             for nm in loop.reads:
                 if nm in partitioned_set:
-                    off, data = windows[nm]
+                    off, _, data = windows[nm]
                     arrays[nm] = OffsetArray(data, off)
                 else:
                     arrays[nm] = handles[nm].value
             for nm in loop.writes:
-                spec = loop.partitions.get(nm)
                 if nm in reductions:
                     identity, _ = REDUCTION_OPS[reductions[nm]]
                     buf = np.full(buffer_info[nm].length, identity,
                                   dtype=buffer_info[nm].dtype)
                     arrays[nm] = buf
                     outs[nm] = ("red", 0, buf)
-                elif spec is not None and spec.is_partitioned:
-                    p_lo, p_hi = partition_for_tile(spec, Tile(idx, lo, hi), scalars)
+                elif nm in split_set:
+                    p_lo, p_hi, _ = windows[nm]
                     if nm in arrays:  # tofrom window doubles as the output
                         view = arrays[nm]
                         outs[nm] = ("part", p_lo, view.local)
@@ -631,14 +647,12 @@ class SparkJobGenerator:
         return map_fn
 
     # ----------------------------------------------------------------- costs
-    def _make_costs_fn(self, loop, tiles, partitioned_reads, broadcast_reads):
-        """Per-task costs for every live tile, computed in one numpy pass.
-
-        Returns ``(costs_for, costs_arrays)``: the scalar closure (functional
-        jobs, checkpoint commits) indexes into the same arrays the columnar
-        :class:`TaskCostsArrays` hands to the driver, so both views are
-        bit-identical to the historical per-tile evaluation — same float
-        operation order, same window bounds, same wire rounding.
+    def _task_costs(self, loop, tiles, lo, hi, windows, partitioned_reads,
+                    split_writes, broadcast_reads) -> TaskCostsArrays:
+        """Per-task costs for every live tile, computed in one numpy pass
+        over the tile bounds ``lo``/``hi`` and the loop's partition
+        ``windows``.  Bit-identical to the historical per-tile evaluation —
+        same float operation order, same window bounds, same wire rounding.
         """
         slots_per_node = self.sc.cluster.executors[0].task_slots
         n_nodes = self.sc.cluster.active_worker_nodes
@@ -650,8 +664,6 @@ class SparkJobGenerator:
         bcast_share = bcast_raw / k if k else 0.0
 
         n = len(tiles)
-        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
         fpi = loop.flops_per_iter
         if fpi is None:
             flops = np.zeros(n, dtype=np.float64)
@@ -669,8 +681,7 @@ class SparkJobGenerator:
         in_wire = np.zeros(n, dtype=np.int64)
         for nm in partitioned_reads:
             buf = self._buffer_info[nm]
-            wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-            self._check_windows(buf, wlo, whi)
+            wlo, whi = windows[nm]
             raw = (whi - wlo) * buf.itemsize
             in_raw += raw
             in_wire += self._wire_bytes_vec(buf, raw)
@@ -678,20 +689,17 @@ class SparkJobGenerator:
         out_wire = np.zeros(n, dtype=np.int64)
         for nm in loop.writes:
             buf = self._buffer_info[nm]
-            spec = loop.partitions.get(nm)
-            if nm in loop.reduction_vars:
-                raw = np.full(n, buf.nbytes, dtype=np.int64)
-            elif spec is not None and spec.is_partitioned:
-                wlo, whi = partition_windows(spec, lo, hi, self.scalars)
-                self._check_windows(buf, wlo, whi)
+            if nm in split_writes:
+                wlo, whi = windows[nm]
                 raw = (whi - wlo) * buf.itemsize
             else:
-                # Full partial array per task (the paper's Eq. 6-8).
+                # Full partial array per task (the paper's Eq. 6-8), or the
+                # whole reduction buffer.
                 raw = np.full(n, buf.nbytes, dtype=np.int64)
             out_raw += raw
             out_wire += self._wire_bytes_vec(buf, raw)
 
-        arrays = TaskCostsArrays(
+        return TaskCostsArrays(
             compute_s=compute_s,
             jni_s=jni_s,
             decompress_s=(in_raw + bcast_share) / self.cal.worker_byte_bps,
@@ -699,18 +707,6 @@ class SparkJobGenerator:
             input_bytes=in_wire,
             output_bytes=out_wire,
         )
-
-        def costs_for(split: int) -> TaskCosts:
-            return TaskCosts(
-                compute_s=float(arrays.compute_s[split]),
-                jni_s=float(arrays.jni_s[split]),
-                decompress_s=float(arrays.decompress_s[split]),
-                compress_s=float(arrays.compress_s[split]),
-                input_bytes=int(arrays.input_bytes[split]),
-                output_bytes=int(arrays.output_bytes[split]),
-            )
-
-        return costs_for, arrays
 
     @staticmethod
     def _check_windows(buf: Buffer, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -802,28 +798,22 @@ class SparkJobGenerator:
             return raw
         return self._codec_for(buf).compressed_size(raw, 0)
 
-    def _check_executor_memory(self, loop, tiles, partitioned_reads, broadcast_reads) -> None:
+    def _check_executor_memory(self, loop, windows, n, partitioned_reads,
+                               split_writes, broadcast_reads) -> None:
         """Worst-case resident bytes on one executor: every broadcast block
         plus one input window and one output buffer per concurrent task."""
         executor = self.sc.cluster.executors[0]
         slots = executor.task_slots
         heap = executor.heap_bytes
         bcast = sum(self._buffer_info[nm].nbytes for nm in broadcast_reads)
-        n = len(tiles)
-        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
         task_bytes = np.zeros(n, dtype=np.int64)
         for nm in partitioned_reads:
-            buf = self._buffer_info[nm]
-            wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-            self._check_windows(buf, wlo, whi)
-            task_bytes += (whi - wlo) * buf.itemsize
+            wlo, whi = windows[nm]
+            task_bytes += (whi - wlo) * self._buffer_info[nm].itemsize
         for nm in loop.writes:
             buf = self._buffer_info[nm]
-            spec = loop.partitions.get(nm)
-            if spec is not None and spec.is_partitioned and nm not in loop.reduction_vars:
-                wlo, whi = partition_windows(spec, lo, hi, self.scalars)
-                self._check_windows(buf, wlo, whi)
+            if nm in split_writes:
+                wlo, whi = windows[nm]
                 task_bytes += (whi - wlo) * buf.itemsize
             else:
                 task_bytes += buf.nbytes  # full partial / reduction buffer

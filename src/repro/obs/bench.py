@@ -914,7 +914,8 @@ def run_scaling(
       bench JSON stays bit-deterministic.
 
     ``size`` overrides the grid with a single (``n_workers``, ``size``)
-    point, handy for probing one configuration from the CLI.
+    point, handy for probing one configuration from the CLI; a point that
+    is on the grid keeps its grid budget, any other point runs unbudgeted.
     """
     import dataclasses
     from contextlib import nullcontext
@@ -929,7 +930,9 @@ def run_scaling(
     from repro.simtime import coarse_timelines
 
     if size is not None:
-        grid = ((n_workers, int(size), float("inf")),)
+        budget = next((b for w, t, b in SCALING_GRID_FULL
+                       if (w, t) == (n_workers, int(size))), float("inf"))
+        grid = ((n_workers, int(size), budget),)
     else:
         grid = SCALING_GRID_QUICK if quick else SCALING_GRID_FULL
     wall_scale = float(os.environ.get("REPRO_SCALING_WALL_SCALE", "1.0"))
@@ -963,9 +966,11 @@ def run_scaling(
                                 calibration=cal))
         # Points up to 100k tasks run instrumented (their event counts and
         # metrics land in the payload).  Larger points run with the bus
-        # detached: per-task TaskStart/TaskEnd delivery costs ~10 us/task of
-        # pure observability-plane overhead, and the wall budget is a
-        # contract on the *simulation core* (docs/PERFORMANCE.md).
+        # detached: per-task TaskStart/TaskEnd delivery costs ~35 us/task of
+        # pure observability-plane overhead (`python3 perfbench/run.py
+        # --workload sim_faults --seed 1 --seconds 15 --trace 1`:
+        # obs.overhead_s / 20,000 tasks), and the wall budget is a contract
+        # on the *simulation core* (docs/PERFORMANCE.md).
         instrumented = tasks <= 100_000
         t0 = perf_counter()
         with use_bus(bus) if instrumented else nullcontext():

@@ -26,7 +26,7 @@ from repro.spark.rdd import RDD, Partition
 from repro.spark.broadcast import Broadcast
 from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
-from repro.spark.scheduler import Task, TaskScheduler, TaskResult
+from repro.spark.scheduler import TaskResult, TaskScheduler, TaskTable
 from repro.spark.driver import Driver, JobResult
 from repro.spark.cluster import SparkCluster
 from repro.spark.context import SparkContext
@@ -47,9 +47,9 @@ __all__ = [
     "ExecutorLostError",
     "ScheduleConfig",
     "STATIC_SCHEDULE",
-    "Task",
     "TaskScheduler",
     "TaskResult",
+    "TaskTable",
     "Driver",
     "JobResult",
     "SparkCluster",

@@ -19,13 +19,7 @@ from repro.spark.broadcast import Broadcast
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.rdd import RDD, MappedRDD, ParallelCollectionRDD
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
-from repro.spark.scheduler import (
-    JobStats,
-    SchedulerCosts,
-    Task,
-    TaskScheduler,
-    TaskTable,
-)
+from repro.spark.scheduler import JobStats, SchedulerCosts, TaskScheduler, TaskTable
 from repro.spark.serialization import sizeof_element
 
 if True:  # keep import group tight for the type checker
@@ -33,28 +27,15 @@ if True:  # keep import group tight for the type checker
 
 
 @dataclass
-class TaskCosts:
-    """Per-task simulated durations and payload sizes, supplied by the
-    OmpCloud codegen in modeled runs (functional runs default to zero cost)."""
-
-    compute_s: float = 0.0
-    jni_s: float = 0.0
-    decompress_s: float = 0.0
-    compress_s: float = 0.0
-    input_bytes: int = -1  # -1 = measure from the partition data
-    output_bytes: int = -1  # -1 = measure from the result
-
-
-@dataclass
 class TaskCostsArrays:
-    """Per-task costs for a whole modeled job, as parallel arrays.
+    """Per-task simulated durations and payload sizes for a whole job, as
+    parallel arrays (one entry per partition).
 
-    The vectorized codegen computes every tile's durations and payload sizes
-    in one numpy pass; shipping them as arrays lets the driver build a
-    columnar :class:`~repro.spark.tasktable.TaskTable` without a Python
-    ``costs_for`` call (and a :class:`Task` object) per tile.  Negative byte
-    counts mean "unknown" and clamp to 0, matching the scalar
-    :class:`TaskCosts` sentinel semantics for modeled runs.
+    The OmpCloud codegen computes every tile's costs in one numpy pass and
+    the driver turns them into the job's columnar
+    :class:`~repro.spark.tasktable.TaskTable` as they are.  A negative byte
+    count means "unknown": functional jobs measure it from the partition
+    data (inputs) or the task's result (outputs); modeled jobs count 0.
     """
 
     compute_s: np.ndarray
@@ -81,7 +62,6 @@ class JobResult:
         return self.stats.makespan_s
 
 
-CostsFor = Callable[[int], TaskCosts]
 PartitionPost = Callable[[list[Any]], list[Any]]
 
 
@@ -97,73 +77,59 @@ class Driver:
         self,
         rdd: RDD,
         partition_post: PartitionPost | None = None,
-        costs_for: CostsFor | None = None,
+        costs: TaskCostsArrays | None = None,
         broadcasts: Sequence[Broadcast] = (),
         fault_plan: FaultPlan = NO_FAULTS,
         functional: bool = True,
         schedule: ScheduleConfig = STATIC_SCHEDULE,
         stage: str = "",
-        costs_arrays: TaskCostsArrays | None = None,
     ) -> JobResult:
         """Execute ``rdd`` (optionally post-processing each partition).
 
-        In functional mode the closures really run; task payload sizes are
-        measured from the data unless ``costs_for`` overrides them.
-        ``stage`` labels every task's timeline spans with the loop it tiles
-        (fused offloads submit one stage per member loop).
-
-        Modeled callers may pass ``costs_arrays`` instead of ``costs_for``:
-        the whole task set is then submitted as one columnar
-        :class:`TaskTable` — no per-tile ``Task`` objects, no per-tile costs
-        callback.  The schedule produced is bit-identical either way.
+        The job is submitted as one columnar :class:`TaskTable`, one row per
+        partition.  ``costs`` gives every task's durations and payload sizes
+        (``None``: zero durations, sizes unknown).  In functional mode the
+        closures really run and unknown sizes are measured from the data; in
+        modeled mode they count 0.  ``stage`` labels every task's timeline
+        spans with the loop it tiles (fused offloads submit one stage per
+        member loop).
         """
         self._job_seq += 1
         timeline = Timeline()
         n = rdd.num_partitions
-        tasks: list[Task] | TaskTable
-        if costs_arrays is not None and not functional:
-            if len(costs_arrays) != n:
-                raise ValueError(
-                    f"costs_arrays has {len(costs_arrays)} rows for "
-                    f"{n} partitions")
-            splits = np.arange(n, dtype=np.int64)
-            tasks = TaskTable(
-                task_id=self._job_seq * 100_000 + splits,
-                split=splits,
-                compute_s=costs_arrays.compute_s,
-                jni_s=costs_arrays.jni_s,
-                decompress_s=costs_arrays.decompress_s,
-                compress_s=costs_arrays.compress_s,
-                input_bytes=np.maximum(
-                    np.asarray(costs_arrays.input_bytes, dtype=np.int64), 0),
-                output_bytes=np.maximum(
-                    np.asarray(costs_arrays.output_bytes, dtype=np.int64), 0),
-                stage=stage,
-            )
+        if costs is None:
+            zero = np.zeros(n)
+            unknown = np.full(n, -1, dtype=np.int64)
+            costs = TaskCostsArrays(zero, zero, zero, zero, unknown, unknown)
+        elif len(costs) != n:
+            raise ValueError(f"costs has {len(costs)} rows for {n} partitions")
+        splits = np.arange(n, dtype=np.int64)
+        closures: list[Callable[[], list[Any]]] | None = None
+        if functional:
+            input_bytes = np.array(costs.input_bytes, dtype=np.int64)
+            for split in np.flatnonzero(input_bytes < 0).tolist():
+                input_bytes[split] = self._measure_input_bytes(rdd, split)
+            # A copy: the scheduler writes measured sizes into the column.
+            output_bytes = np.array(costs.output_bytes, dtype=np.int64)
+            closures = [self._make_closure(rdd, split, partition_post)
+                        for split in range(n)]
         else:
-            task_list: list[Task] = []
-            for split in range(n):
-                costs = costs_for(split) if costs_for is not None else TaskCosts()
-                task = Task(
-                    task_id=self._job_seq * 100_000 + split,
-                    split=split,
-                    stage=stage,
-                    compute_s=costs.compute_s,
-                    jni_s=costs.jni_s,
-                    decompress_s=costs.decompress_s,
-                    compress_s=costs.compress_s,
-                    input_bytes=(
-                        costs.input_bytes
-                        if costs.input_bytes >= 0
-                        else (self._measure_input_bytes(rdd, split) if functional else 0)
-                    ),
-                    output_bytes=max(costs.output_bytes, 0),
-                )
-                if functional:
-                    task.closure = self._make_closure(rdd, split, partition_post, task,
-                                                      costs.output_bytes < 0)
-                task_list.append(task)
-            tasks = task_list
+            input_bytes = np.maximum(
+                np.asarray(costs.input_bytes, dtype=np.int64), 0)
+            output_bytes = np.maximum(
+                np.asarray(costs.output_bytes, dtype=np.int64), 0)
+        tasks = TaskTable(
+            task_id=self._job_seq * 100_000 + splits,
+            split=splits,
+            compute_s=costs.compute_s,
+            jni_s=costs.jni_s,
+            decompress_s=costs.decompress_s,
+            compress_s=costs.compress_s,
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
+            stage=stage,
+            closures=closures,
+        )
 
         bus = get_bus()
         bus.emit(JobStart(time=self.cluster.clock.now, resource="driver",
@@ -182,14 +148,15 @@ class Driver:
         bus.emit(JobEnd(time=self.cluster.clock.now, resource="driver",
                         job_id=self._job_seq, makespan_s=stats.makespan_s,
                         tasks_recomputed=stats.recomputed_tasks))
-        if isinstance(tasks, TaskTable):
-            # Modeled columnar jobs have no values; don't materialize 1M
-            # TaskResult objects just to read None from each.  The empty
-            # list is shared — partitions of a modeled job are never mutated.
-            partitions: list[list[Any]] = [[]] * n
-        else:
+        partitions: list[list[Any]]
+        if functional:
             partitions = [r.value if r.value is not None else []
                           for r in stats.results]
+        else:
+            # Modeled jobs have no values; don't materialize 1M TaskResult
+            # objects just to read None from each.  The empty list is
+            # shared — partitions of a modeled job are never mutated.
+            partitions = [[]] * n
         return JobResult(partitions=partitions, stats=stats, timeline=timeline)
 
     # ------------------------------------------------------------- internals
@@ -198,15 +165,11 @@ class Driver:
         rdd: RDD,
         split: int,
         partition_post: PartitionPost | None,
-        task: Task,
-        measure_output: bool,
     ) -> Callable[[], list[Any]]:
         def closure() -> list[Any]:
             data = rdd.iterator(split)
             if partition_post is not None:
                 data = partition_post(data)
-            if measure_output:
-                task.output_bytes = sum(sizeof_element(x) for x in data)
             return data
 
         return closure

@@ -24,22 +24,22 @@ scatters instead of the strict end-of-job barrier.
 Everything is accounted on a :class:`~repro.simtime.timeline.Timeline` with
 the phases Figure 5 of the paper stacks.
 
-Scale notes (docs/PERFORMANCE.md): the job loop runs over a columnar
+Scale notes (docs/PERFORMANCE.md): a job is always one columnar
 :class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot loop, no
-per-task dataclass), picks executors through the amortized-O(log n)
-:class:`~repro.spark.exindex.ExecutorIndex`, orders collects with one
-``np.lexsort`` instead of repeated ``sorted(results, ...)`` passes, and
-materializes :class:`TaskResult` objects lazily.  All of it is bit-identical
-to the historical object-per-task implementation — scheduling order is
-observable through reports, journals and traces, and a property test pins
-the equivalence.
+per-task objects in any mode), executors are picked through the
+amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, collects are
+ordered with one ``np.lexsort`` instead of repeated ``sorted(results, ...)``
+passes, and :class:`TaskResult` objects are materialized lazily.  All of it
+is bit-identical to the historical object-per-task implementation —
+scheduling order is observable through reports, journals and traces, and a
+property test pins the equivalence.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -53,13 +53,13 @@ from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.exindex import ExecutorIndex
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
-from repro.spark.tasktable import LazyResults, Task, TaskResult, TaskTable
+from repro.spark.serialization import sizeof_element
+from repro.spark.tasktable import LazyResults, TaskResult, TaskTable
 
 __all__ = [
     "MAX_TASK_FAILURES",
     "JobFailedError",
     "SchedulerCosts",
-    "Task",
     "TaskResult",
     "TaskTable",
     "JobStats",
@@ -132,7 +132,7 @@ class TaskScheduler:
 
     def run_job(
         self,
-        tasks: Sequence[Task] | TaskTable,
+        tasks: TaskTable,
         executors: Sequence[Executor],
         network: NetworkModel,
         clock: SimClock,
@@ -144,8 +144,6 @@ class TaskScheduler:
     ) -> JobStats:
         """Run all tasks; advances ``clock`` to job completion.
 
-        ``tasks`` is either a sequence of :class:`Task` objects or a columnar
-        :class:`TaskTable` (what the modeled codegen submits at scale).
         Returns per-task results ordered by ``split``.
         """
         job = _JobRun(self.costs, tasks, executors, network, clock, timeline,
@@ -159,7 +157,7 @@ class _JobRun:
     def __init__(
         self,
         costs: SchedulerCosts,
-        tasks: Sequence[Task] | TaskTable,
+        tasks: TaskTable,
         executors: Sequence[Executor],
         network: NetworkModel,
         clock: SimClock,
@@ -169,8 +167,7 @@ class _JobRun:
         schedule: ScheduleConfig,
     ) -> None:
         self.costs = costs
-        self.table = (tasks if isinstance(tasks, TaskTable)
-                      else TaskTable.from_tasks(tasks))
+        self.table = tasks
         self.executors = executors
         self.network = network
         self.clock = clock
@@ -180,10 +177,10 @@ class _JobRun:
         self.schedule = schedule
         self.stats = JobStats(tasks=len(self.table))
         self.index = ExecutorIndex(executors)
-        #: Fine timelines carry per-task labels; coarse ones aggregate and
-        #: ignore labels, so the hot loop skips building the f-strings and
-        #: updates the timeline's aggregate dict in place (same math as
-        #: ``Timeline.record``, without a method call per span).
+        #: Coarse timelines aggregate and ignore labels: ``agg`` is their
+        #: aggregate dict (``None`` for a fine timeline), which the hot loop
+        #: updates in place (same math as ``Timeline.record``, without a
+        #: method call or a label f-string per span).
         self.fine = not timeline.coarse
         self.agg = timeline._agg
         #: (id(executor) -> [entry or None] * 4) coarse aggregate entries for
@@ -223,6 +220,8 @@ class _JobRun:
         #: post-job ``replace_executor`` cannot rewrite history.
         self.worker_ids = [ex.worker_id for ex in executors]
         self.pos_of = {id(ex): i for i, ex in enumerate(executors)}
+        stage = self.table.stage
+        self.label_prefix = f"{stage}/" if stage else ""
 
     # --------------------------------------------------------------- the job
     def run(self, broadcasts: Sequence[Broadcast]) -> JobStats:
@@ -230,7 +229,7 @@ class _JobRun:
         if not alive:
             raise JobFailedError("no alive executors")
         clock, timeline, network = self.clock, self.timeline, self.network
-        schedule, stats, fine = self.schedule, self.stats, self.fine
+        schedule, stats = self.schedule, self.stats
         t0 = clock.now
 
         # ------------------------------------------------------- broadcasts
@@ -253,7 +252,7 @@ class _JobRun:
         record = timeline.record
         lan_time = network.lan_transfer_time
         tid, in_b, out_b = self.tid, self.in_b, self.out_b
-        functional_rows = self.values is not None
+        measure_out = self.values is not None
         pipelined = schedule.pipelined
         driver_cursor = ready0
         nic_cursor = ready0
@@ -272,8 +271,7 @@ class _JobRun:
                 _bump(e_sched, launch_start, driver_cursor)
             else:
                 record(Phase.SCHEDULING, launch_start, driver_cursor,
-                       resource="driver",
-                       label=f"launch-{tid[row]}" if fine else "")
+                       resource="driver", label=f"launch-{tid[row]}")
             ready = driver_cursor
             if in_b[row] > 0:
                 if pipelined:
@@ -300,15 +298,16 @@ class _JobRun:
                     _bump(e_intra, x0, nic_cursor)
                 else:
                     record(Phase.INTRA_TRANSFER, x0, nic_cursor,
-                           resource="driver-nic",
-                           label=f"scatter-{tid[row]}" if fine else "")
+                           resource="driver-nic", label=f"scatter-{tid[row]}")
                 ready = nic_cursor
             self._run_one(row, ready)
-            if functional_rows:
-                # A measuring closure rewrites the source task's output size;
-                # the collect path must see the post-run value.
-                src = self.table.task_obj(row)
-                out_b[row] = src.output_bytes
+            if measure_out and out_b[row] < 0:
+                # Unknown output size: measure the result the closure
+                # returned, before the collect path needs it.
+                value = self.values[row]
+                out_b[row] = self.table.output_bytes[row] = (
+                    sum(sizeof_element(x) for x in value)
+                    if value is not None else 0)
             if pipelined:
                 if out_b[row] > 0:
                     heapq.heappush(uncollected,
@@ -338,7 +337,7 @@ class _JobRun:
                     else:
                         record(Phase.COLLECT, c0, collect_cursor,
                                resource="driver-nic",
-                               label=f"collect-{tid[row]}" if fine else "")
+                               label=f"collect-{tid[row]}")
                     self.r_collected[row] = collect_cursor
                 else:
                     self.r_collected[row] = self.r_end[row]
@@ -587,8 +586,7 @@ class _JobRun:
             _bump(_agg_entry(agg, Phase.COLLECT, "driver-nic"), c0, cursor)
         else:
             self.timeline.record(Phase.COLLECT, c0, cursor,
-                                 resource="driver-nic",
-                                 label=f"collect-{tid}" if self.fine else "")
+                                 resource="driver-nic", label=f"collect-{tid}")
         self.r_collected[row] = cursor
         return cursor
 
@@ -621,12 +619,7 @@ class _JobRun:
             return
         record = self.timeline.record
         resource = ex.worker_id
-        if self.fine:
-            stage = self.table.stage_of(row)
-            prefix = f"{stage}/" if stage else ""
-            label = f"{prefix}task-{self.tid[row]}{label_suffix}"
-        else:
-            label = ""
+        label = f"{self.label_prefix}task-{self.tid[row]}{label_suffix}"
         for phase, dur in (
             (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
             (Phase.JNI_CALL, self.jni_s[row]),

@@ -1,19 +1,17 @@
 """Columnar task state for the Spark scheduler.
 
-A 10,000-worker cluster running ~1M tiles cannot afford one :class:`Task`
-dataclass, one :class:`TaskResult` dataclass and several interned label
-strings per tile — at that scale object construction alone dominates the
-simulation.  This module keeps the schedulable task set as a
-:class:`TaskTable` of parallel numpy arrays (one row per tile) and
-materializes :class:`Task`/:class:`TaskResult` objects **lazily**, only for
-the rows that reports, journals, checkpoint commits or speculation logic
+A 10,000-worker cluster running ~1M tiles cannot afford one dataclass per
+tile — at that scale object construction alone dominates the simulation.
+Every job, modeled or functional, is therefore submitted as one
+:class:`TaskTable` of parallel numpy arrays (one row per tile); functional
+jobs add their task closures as one more column.  There are no per-task
+objects on the way in, and :class:`TaskResult` objects are materialized
+**lazily**, only for the rows that reports, journals or checkpoint commits
 actually touch.
 
-The dataclasses themselves stay the public API (tests and callers keep
-constructing ``Task(...)`` lists; ``TaskScheduler.run_job`` accepts both a
-``Sequence[Task]`` and a :class:`TaskTable`), and a materialized result is
-bit-identical to what the historical object-per-task scheduler produced —
-see docs/PERFORMANCE.md for the guarantee and the property test that pins it.
+A materialized result is bit-identical to what the historical
+object-per-task scheduler produced — see docs/PERFORMANCE.md for the
+guarantee and the property test that pins it.
 """
 
 from __future__ import annotations
@@ -25,38 +23,13 @@ import numpy as np
 
 
 @dataclass
-class Task:
-    """One schedulable unit: a tile of loop iterations (after Algorithm 1).
-
-    Durations are split by phase so the timeline can reproduce Figure 5's
-    decomposition; ``closure`` is executed for real in functional mode.
-    """
-
-    task_id: int
-    split: int
-    #: Stage label — the source loop this tile belongs to.  A fused region
-    #: (docs/TASKGRAPH.md) submits one map stage per member loop under a
-    #: single offload, so the label is what keeps each tile attributable to
-    #: its member region in the timeline and exported traces.
-    stage: str = ""
-    compute_s: float = 0.0
-    jni_s: float = 0.0
-    decompress_s: float = 0.0
-    compress_s: float = 0.0
-    input_bytes: int = 0
-    output_bytes: int = 0
-    closure: Callable[[], Any] | None = None
-
-    @property
-    def slot_duration_s(self) -> float:
-        return self.compute_s + self.jni_s + self.decompress_s + self.compress_s
-
-
-@dataclass
 class TaskResult:
     """Where and when one task ran, and what it produced."""
 
-    task: Task
+    task_id: int
+    split: int
+    #: Stage label — the source loop the task's tile belongs to.
+    stage: str
     worker_id: str
     start: float
     end: float
@@ -68,18 +41,21 @@ class TaskResult:
 
 
 class TaskTable:
-    """A task set as parallel arrays, one row per tile.
+    """A job's task set as parallel arrays, one row per tile.
 
-    ``stage`` is a single label shared by every row (the common case — the
-    driver labels one map stage per job) or a sequence of per-row labels
-    (only when built from heterogeneous ``Task`` objects).  ``closures`` is
-    ``None`` for modeled jobs; functional jobs carry one callable (or
-    ``None``) per row.
+    Durations are split by phase so the timeline can reproduce Figure 5's
+    decomposition.  ``stage`` labels every row with the loop the job tiles
+    (a fused region, docs/TASKGRAPH.md, submits one job per member loop, so
+    the label keeps each tile attributable in timelines and traces).
+    ``closures`` is ``None`` for modeled jobs; functional jobs carry one
+    callable per row, executed for real.  A negative ``output_bytes`` entry
+    means "unknown": a functional run measures it from the task's result and
+    writes the size back into the column.
     """
 
     __slots__ = ("task_id", "split", "compute_s", "jni_s", "decompress_s",
                  "compress_s", "input_bytes", "output_bytes", "stage",
-                 "closures", "_tasks", "_materialized")
+                 "closures")
 
     def __init__(
         self,
@@ -92,9 +68,8 @@ class TaskTable:
         compress_s: np.ndarray | Sequence[float] | None = None,
         input_bytes: np.ndarray | Sequence[int] | None = None,
         output_bytes: np.ndarray | Sequence[int] | None = None,
-        stage: str | Sequence[str] = "",
+        stage: str = "",
         closures: Sequence[Callable[[], Any] | None] | None = None,
-        tasks: Sequence[Task] | None = None,
     ) -> None:
         self.task_id = np.asarray(task_id, dtype=np.int64)
         n = len(self.task_id)
@@ -119,72 +94,19 @@ class TaskTable:
             if len(col) != n:
                 raise ValueError(
                     f"column length mismatch: {len(col)} rows vs {n} task ids")
-        if not isinstance(stage, str) and len(stage) != n:
-            raise ValueError(f"need one stage per row, got {len(stage)} for {n}")
         self.stage = stage
         self.closures = list(closures) if closures is not None else None
-        self._tasks = tasks
-        self._materialized: dict[int, Task] = {}
-
-    @classmethod
-    def from_tasks(cls, tasks: Sequence[Task]) -> "TaskTable":
-        """Columnar view over existing ``Task`` objects (kept for lazy reuse)."""
-        stages: str | list[str] = [t.stage for t in tasks]
-        if all(s == "" for s in stages):
-            stages = ""
-        closures: list[Callable[[], Any] | None] | None
-        closures = [t.closure for t in tasks]
-        if all(c is None for c in closures):
-            closures = None
-        return cls(
-            task_id=[t.task_id for t in tasks],
-            split=[t.split for t in tasks],
-            compute_s=[t.compute_s for t in tasks],
-            jni_s=[t.jni_s for t in tasks],
-            decompress_s=[t.decompress_s for t in tasks],
-            compress_s=[t.compress_s for t in tasks],
-            input_bytes=[t.input_bytes for t in tasks],
-            output_bytes=[t.output_bytes for t in tasks],
-            stage=stages,
-            closures=closures,
-            tasks=tasks,
-        )
 
     def __len__(self) -> int:
         return len(self.task_id)
 
     def slot_durations(self) -> np.ndarray:
-        """Per-row intended slot seconds, added in the same order as
-        ``Task.slot_duration_s`` so the result is bit-identical."""
+        """Per-row intended slot seconds.  The summation order is fixed:
+        schedules, and so reports, depend on it bit for bit."""
         return self.compute_s + self.jni_s + self.decompress_s + self.compress_s
-
-    def stage_of(self, row: int) -> str:
-        return self.stage if isinstance(self.stage, str) else self.stage[row]
 
     def closure_of(self, row: int) -> Callable[[], Any] | None:
         return self.closures[row] if self.closures is not None else None
-
-    def task_obj(self, row: int) -> Task:
-        """The ``Task`` for one row — the original object when this table was
-        built from one, otherwise materialized (and cached) from the arrays."""
-        if self._tasks is not None:
-            return self._tasks[row]
-        t = self._materialized.get(row)
-        if t is None:
-            t = Task(
-                task_id=int(self.task_id[row]),
-                split=int(self.split[row]),
-                stage=self.stage_of(row),
-                compute_s=float(self.compute_s[row]),
-                jni_s=float(self.jni_s[row]),
-                decompress_s=float(self.decompress_s[row]),
-                compress_s=float(self.compress_s[row]),
-                input_bytes=int(self.input_bytes[row]),
-                output_bytes=int(self.output_bytes[row]),
-                closure=self.closure_of(row),
-            )
-            self._materialized[row] = t
-        return t
 
 
 class LazyResults(Sequence[TaskResult]):
@@ -233,8 +155,11 @@ class LazyResults(Sequence[TaskResult]):
     def _row_result(self, row: int) -> TaskResult:
         res = self._cache.get(row)
         if res is None:
+            table = self._table
             res = TaskResult(
-                task=self._table.task_obj(row),
+                task_id=int(table.task_id[row]),
+                split=int(table.split[row]),
+                stage=table.stage,
                 worker_id=self._worker_ids[self._worker_pos[row]],
                 start=self._start[row],
                 end=self._end[row],

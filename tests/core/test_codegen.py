@@ -202,6 +202,55 @@ def test_fault_injection_through_cloud_device(cloud_config):
 
 
 # ----------------------------------------------------------------- helpers
+@pytest.mark.parametrize("mode", [ExecutionMode.FUNCTIONAL, ExecutionMode.MODELED])
+def test_partition_windows_evaluated_once_per_buffer_per_loop(cloud_config,
+                                                              monkeypatch, mode):
+    """A loop job evaluates each partitioned buffer's windows once — a
+    tofrom buffer (read and written through one window) included — and
+    shares them between the memory check, the task costs and the elements."""
+    from repro.core import codegen
+
+    calls = []
+    real = codegen.partition_windows
+
+    def counting(spec, lo, hi, env):
+        calls.append(spec.name)
+        return real(spec, lo, hi, env)
+
+    monkeypatch.setattr(codegen, "partition_windows", counting)
+
+    def body(lo, hi, arrays, scalars):
+        d = np.asarray(arrays["D"][lo:hi])
+        arrays["C"][lo:hi] = np.asarray(arrays["A"][lo:hi]) + d
+        arrays["D"][lo:hi] = d * 2
+
+    region = TargetRegion(
+        name="windows",
+        pragmas=["omp target device(CLOUD)",
+                 "omp map(to: A[:N]) map(tofrom: D[:N]) map(from: C[:N])"],
+        loops=[ParallelLoop(
+            pragma="omp parallel for", loop_var="i", trip_count="N",
+            reads=("A", "D"), writes=("C", "D"),
+            partition_pragma="omp target data map(to: A[i:i+1]) "
+                             "map(tofrom: D[i:i+1]) map(from: C[i:i+1])",
+            body=body, flops_per_iter=1.0,
+        )],
+    )
+    rt = make_cloud_runtime(cloud_config, physical_cores=16)
+    n = 64
+    if mode == ExecutionMode.FUNCTIONAL:
+        arrays = _arrays(n)
+        arrays["D"] = arrays.pop("B")
+        a, d = arrays["A"].copy(), arrays["D"].copy()
+        report = offload(region, arrays=arrays, scalars={"N": n}, runtime=rt)
+        np.testing.assert_array_equal(arrays["C"], a + d)
+        np.testing.assert_array_equal(arrays["D"], d * 2)
+    else:
+        report = offload(region, scalars={"N": n}, runtime=rt, mode=mode)
+    assert report.tasks_run == 16
+    assert sorted(calls) == ["A", "C", "D"]
+
+
 def make_config(n_workers: int = 4):
     from repro.cloud.credentials import Credentials
     from repro.core.config import CloudConfig

@@ -208,3 +208,15 @@ def test_committed_baselines_match_current_model():
         baseline = load_bench(os.path.join(root, fname))
         current = run_benchmark(baseline["benchmark"], quick=True)
         assert compare(baseline, current) == []
+
+
+def test_scaling_size_probe_keeps_grid_budget(monkeypatch):
+    """``--workers W --size N`` on a grid point is held to that point's wall
+    budget; off-grid probes stay unbudgeted."""
+    from repro.obs import bench
+
+    monkeypatch.setattr(bench, "SCALING_GRID_FULL", ((2, 8, 0.0),))
+    with pytest.raises(RuntimeError, match="budget 0.0 s"):
+        bench.run_scaling(n_workers=2, size=8)
+    payload = bench.run_scaling(n_workers=2, size=9)
+    assert payload["params"]["workers"] == 2

@@ -5,7 +5,8 @@ import pytest
 
 from repro.simtime import Phase
 from repro.spark import FaultPlan, SparkCluster, SparkContext
-from repro.spark.driver import TaskCosts
+
+from tests.spark.tables import uniform_costs
 
 
 @pytest.fixture
@@ -21,11 +22,9 @@ def test_run_job_detailed_returns_partitions_and_stats(sc):
     assert result.makespan_s > 0
 
 
-def test_costs_for_controls_durations(sc):
+def test_costs_control_durations(sc):
     rdd = sc.parallelize(list(range(4)), num_slices=4)
-    result = sc.run_job_detailed(
-        rdd, costs_for=lambda split: TaskCosts(compute_s=2.0, jni_s=0.1)
-    )
+    result = sc.run_job_detailed(rdd, costs=uniform_costs(4, compute_s=2.0, jni_s=0.1))
     assert result.timeline.busy(Phase.COMPUTE) == pytest.approx(8.0)
     assert result.timeline.busy(Phase.JNI_CALL) == pytest.approx(0.4)
 
@@ -83,7 +82,7 @@ def test_stop_destroys_broadcasts(sc):
 def test_modeled_job_returns_empty_partitions(sc):
     rdd = sc.parallelize(list(range(4)), num_slices=2)
     result = sc.run_job_detailed(
-        rdd, costs_for=lambda s: TaskCosts(compute_s=1.0, input_bytes=0, output_bytes=0),
+        rdd, costs=uniform_costs(2, compute_s=1.0, input_bytes=0, output_bytes=0),
         functional=False,
     )
     assert result.partitions == [[], []]
