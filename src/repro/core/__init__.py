@@ -31,8 +31,8 @@ from repro.core.omp_ast import (
     TargetDataConstruct,
 )
 from repro.core.parser import parse_pragma, DirectiveError
-from repro.core.tiling import tile_iterations, Tile
-from repro.core.partition import PartitionSpec, partition_for_tile
+from repro.core.tiling import tile_iterations
+from repro.core.partition import PartitionSpec
 from repro.core.config import CloudConfig, load_config
 from repro.core.api import ParallelLoop, TargetRegion, offload, omp_get_num_devices
 from repro.core.runtime import OffloadRuntime, DEVICE_HOST
@@ -62,9 +62,7 @@ __all__ = [
     "parse_pragma",
     "DirectiveError",
     "tile_iterations",
-    "Tile",
     "PartitionSpec",
-    "partition_for_tile",
     "CloudConfig",
     "load_config",
     "ParallelLoop",

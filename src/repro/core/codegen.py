@@ -32,7 +32,7 @@ from repro.core.api import ParallelLoop, TargetRegion
 from repro.core.buffers import Buffer, ExecutionMode, OffsetArray
 from repro.core.omp_ast import REDUCTION_OPS, MapType
 from repro.core.partition import partition_windows
-from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
+from repro.core.tiling import (TileColumns, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.compression import CompressionModel, gzip_compress, gzip_decompress, model_for_density
@@ -340,8 +340,9 @@ class SparkJobGenerator:
         clock, timeline = self.sc.clock, self.sc.timeline
         n = loop.trip_count_value(self.scalars)
         cores = self.sc.cluster.total_task_slots
-        tiles = self._tiles_for(loop, n, cores)
-        if not tiles:
+        lo, hi = self._tiles_for(loop, n, cores)
+        n_tiles = len(lo)
+        if not n_tiles:
             return LoopJobReport(loop_var=loop.loop_var, n_tasks=0,
                                  computation_s=0.0, recomputed_tasks=0)
 
@@ -359,44 +360,42 @@ class SparkJobGenerator:
         # Every partitioned buffer's per-tile windows (Eq. 3), evaluated once
         # per loop over all tiles and shared by the memory check, the task
         # costs and the functional elements.
-        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=len(tiles))
-        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=len(tiles))
         windows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for nm in dict.fromkeys(partitioned_reads + split_writes):
             windows[nm] = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
             self._check_windows(self._buffer_info[nm], *windows[nm])
-        self._check_executor_memory(loop, windows, len(tiles), partitioned_reads,
+        self._check_executor_memory(loop, windows, n_tiles, partitioned_reads,
                                     split_writes, broadcast_reads)
 
         # Resume: drop tiles whose outputs were durably committed before the
         # crash.  A checkpoint only counts if the current tiling produced the
-        # exact same tile (index and bounds) — anything else is stale.
+        # exact same tile (index and bounds) — anything else is stale.  A
+        # tile's index is its position in the tile columns.
         completed: dict[int, TileCheckpoint] = {}
         if self.resume:
-            by_index = {t.index: t for t in tiles}
             completed = {
                 i: c for i, c in self.resume.get(loop.loop_var, {}).items()
-                if i in by_index
-                and by_index[i].lo == c.lo and by_index[i].hi == c.hi
+                if 0 <= i < n_tiles and lo[i] == c.lo and hi[i] == c.hi
             }
-        live = [t for t in tiles if t.index not in completed]
+        index = np.arange(n_tiles, dtype=np.int64)
         if completed:
-            keep = np.fromiter((t.index not in completed for t in tiles),
-                               dtype=bool, count=len(tiles))
-            lo, hi = lo[keep], hi[keep]
+            keep = np.ones(n_tiles, dtype=bool)
+            keep[list(completed)] = False
+            index, lo, hi = index[keep], lo[keep], hi[keep]
             windows = {nm: (wlo[keep], whi[keep])
                        for nm, (wlo, whi) in windows.items()}
+        n_live = len(index)
 
         self.sc.log.info(clock.now, "OmpCloudJob",
                          f"loop over {loop.loop_var!r}: {n} iterations -> "
-                         f"{len(tiles)} tiles; split={partitioned_reads} "
+                         f"{n_tiles} tiles; split={partitioned_reads} "
                          f"broadcast={broadcast_reads}"
                          + (f"; resuming past {len(completed)} committed tile(s)"
                             if completed else ""))
 
         # Driver splits partitioned inputs into per-tile windows (Eq. 3).
         split_bytes = sum(self._buffer_info[nm].nbytes for nm in partitioned_reads)
-        if split_bytes and live:
+        if split_bytes and n_live:
             dt = split_bytes / self.cal.driver_byte_bps
             timeline.record(Phase.RECONSTRUCT, clock.now, clock.advance(dt),
                             resource="driver", label=f"split-{loop.loop_var}")
@@ -404,7 +403,7 @@ class SparkJobGenerator:
         # Broadcast unpartitioned inputs; serialization on the driver, then
         # the scheduler charges the BitTorrent distribution.
         handles = {}
-        for nm in broadcast_reads if live else []:
+        for nm in broadcast_reads if n_live else []:
             buf = self._buffer_info[nm]
             dt = buf.nbytes / self.cal.broadcast_serialize_bps
             timeline.record(Phase.BROADCAST, clock.now, clock.advance(dt),
@@ -413,23 +412,23 @@ class SparkJobGenerator:
             value = self._driver_arrays[nm] if self.mode == ExecutionMode.FUNCTIONAL else None
             handles[nm] = self.sc.broadcast(value, nbytes=wire)
 
-        costs = self._task_costs(loop, live, lo, hi, windows, partitioned_reads,
+        costs = self._task_costs(loop, lo, hi, windows, partitioned_reads,
                                  split_writes, broadcast_reads)
-        elements = self._elements_for(live, windows, partitioned_reads)
-        # Free the bounds and windows before the job runs: at a million tiles
-        # they are a sizable share of peak memory.
-        del lo, hi, windows
+        elements = self._elements_for(index, lo, hi, windows, partitioned_reads)
+        # Free the windows before the job runs: at a million tiles they are a
+        # sizable share of peak memory.
+        del windows
         job = None
         computation = 0.0
-        if live:
-            rdd = self.sc.parallelize(elements, num_slices=len(live))
+        if n_live:
+            rdd = self.sc.parallelize(elements, num_slices=n_live)
             map_fn = self._make_map_fn(loop, partitioned_reads, split_writes, handles)
             mapped = rdd.map(map_fn)
 
             self.sc.cluster.reset_pools()
             self.sc.log.info(clock.now, "DAGScheduler",
                              f"Submitting map stage for loop {loop.loop_var!r} "
-                             f"({len(live)} tasks)")
+                             f"({n_live} tasks)")
             job = self.sc.driver.run_job(
                 mapped,
                 costs=costs,
@@ -446,15 +445,15 @@ class SparkJobGenerator:
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
             computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
 
-        committed = self._commit_checkpoints(loop, live, job, costs)
+        committed = self._commit_checkpoints(loop, index, lo, hi, job, costs)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)
 
         partitions = (list(job.partitions) if job is not None else []) + restored
-        self._reconstruct(loop, partitions, tiles)
+        self._reconstruct(loop, partitions, n_tiles)
         task_bytes = int(np.sum(costs.input_bytes) + np.sum(costs.output_bytes))
         return LoopJobReport(
             loop_var=loop.loop_var,
-            n_tasks=len(live),
+            n_tasks=n_live,
             computation_s=computation,
             recomputed_tasks=job.stats.recomputed_tasks if job is not None else 0,
             speculated_tasks=job.stats.speculated_tasks if job is not None else 0,
@@ -466,7 +465,8 @@ class SparkJobGenerator:
             task_bytes_wire=task_bytes,
         )
 
-    def _commit_checkpoints(self, loop: ParallelLoop, live: list[Tile],
+    def _commit_checkpoints(self, loop: ParallelLoop, index: np.ndarray,
+                            lo: np.ndarray, hi: np.ndarray,
                             job, costs: TaskCostsArrays) -> int:
         """Durably commit each completed tile's output (tile-granular
         checkpointing).  Only completions that landed *before* a pending
@@ -479,12 +479,13 @@ class SparkJobGenerator:
         storage = self._storage
         committed = 0
         write_s = 0.0
+        index_of, lo_of, hi_of = index.tolist(), lo.tolist(), hi.tolist()
         for tres in job.stats.results:
             split = tres.split
-            tile = live[split]
+            tile = index_of[split]
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
-            key = f"{self._key_prefix}/ckpt/{loop.loop_var}/{tile.index}.bin"
+            key = f"{self._key_prefix}/ckpt/{loop.loop_var}/{tile}.bin"
             if self.mode == ExecutionMode.FUNCTIONAL:
                 payload = pickle.dumps(job.partitions[split])
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
@@ -497,12 +498,12 @@ class SparkJobGenerator:
                 self.journal.record(
                     "tile_done", get_bus().current_correlation(), clock.now,
                     region=self.region.name, loop_var=loop.loop_var,
-                    tile=tile.index, lo=tile.lo, hi=tile.hi, key=key,
+                    tile=tile, lo=lo_of[split], hi=hi_of[split], key=key,
                     checksum=obj.checksum, nbytes=obj.size, end=tres.end,
                 )
             get_bus().emit(CheckpointCommit(
                 time=clock.now, resource="cluster", region=self.region.name,
-                loop_var=loop.loop_var, tile=tile.index, key=key,
+                loop_var=loop.loop_var, tile=tile, key=key,
                 nbytes=obj.size, checksum=obj.checksum,
             ))
             committed += 1
@@ -543,27 +544,27 @@ class SparkJobGenerator:
                             label=f"restore-{loop.loop_var}-{i}")
         return restored, total
 
-    def _tiles_for(self, loop: ParallelLoop, n: int, cores: int) -> list[Tile]:
+    def _tiles_for(self, loop: ParallelLoop, n: int, cores: int) -> TileColumns:
         """Tiling policy: an explicit schedule chunk wins; otherwise
         Algorithm 1 — or its capacity-weighted variant under schedule mode
         ``weighted`` — or per-iteration tasks when tiling is disabled.
         Empty tiles are values, never tasks: they are dropped here."""
         if not self.tiling:
-            return drop_empty_tiles(untiled(n))
+            return drop_empty_tiles(*untiled(n))
         sched = loop.parallel_for.schedule
         if sched is not None and sched.chunk:
-            return drop_empty_tiles(tile_by_chunk(n, sched.chunk))
+            return drop_empty_tiles(*tile_by_chunk(n, sched.chunk))
         if sched is not None and sched.kind in ("dynamic", "guided"):
             # No chunk given: OpenMP's dynamic default is fine-grained; use
             # 4 waves per core as a Spark-friendly compromise.
-            return drop_empty_tiles(tile_by_chunk(n, max(1, n // (cores * 4))))
+            return drop_empty_tiles(*tile_by_chunk(n, max(1, n // (cores * 4))))
         if self.schedule.weighted and n > 0:
             return drop_empty_tiles(
-                tile_weighted(n, self.sc.cluster.slot_capacities()))
-        return drop_empty_tiles(tile_iterations(n, cores))
+                *tile_weighted(n, self.sc.cluster.slot_capacities()))
+        return drop_empty_tiles(*tile_iterations(n, cores))
 
     # ------------------------------------------------------------- elements
-    def _elements_for(self, tiles: list[Tile],
+    def _elements_for(self, index: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       windows: dict[str, tuple[np.ndarray, np.ndarray]],
                       partitioned_reads: list[str]) -> Sequence[Any]:
         """RDD elements for every live tile.
@@ -575,12 +576,13 @@ class SparkJobGenerator:
         the real array slice for reads and ``None`` for write-only outputs.
         """
         if self.mode != ExecutionMode.FUNCTIONAL:
-            return range(len(tiles))
+            return range(len(index))
         reads = set(partitioned_reads)
         bounds = [(nm, wlo.tolist(), whi.tolist())
                   for nm, (wlo, whi) in windows.items()]
         elements = []
-        for j, t in enumerate(tiles):
+        for j, (t_index, t_lo, t_hi) in enumerate(
+                zip(index.tolist(), lo.tolist(), hi.tolist())):
             tile_windows: dict[str, tuple[int, int, Any]] = {}
             for nm, wlo, whi in bounds:
                 w_lo, w_hi = wlo[j], whi[j]
@@ -590,7 +592,7 @@ class SparkJobGenerator:
                     assert arr is not None
                     data = arr[w_lo:w_hi].copy()
                 tile_windows[nm] = (w_lo, w_hi, data)
-            elements.append((t.index, t.lo, t.hi, tile_windows))
+            elements.append((t_index, t_lo, t_hi, tile_windows))
         return elements
 
     def _make_map_fn(self, loop: ParallelLoop, partitioned_reads: list[str],
@@ -647,7 +649,7 @@ class SparkJobGenerator:
         return map_fn
 
     # ----------------------------------------------------------------- costs
-    def _task_costs(self, loop, tiles, lo, hi, windows, partitioned_reads,
+    def _task_costs(self, loop, lo, hi, windows, partitioned_reads,
                     split_writes, broadcast_reads) -> TaskCostsArrays:
         """Per-task costs for every live tile, computed in one numpy pass
         over the tile bounds ``lo``/``hi`` and the loop's partition
@@ -656,20 +658,21 @@ class SparkJobGenerator:
         """
         slots_per_node = self.sc.cluster.executors[0].task_slots
         n_nodes = self.sc.cluster.active_worker_nodes
-        k = min(slots_per_node, max(1, -(-len(tiles) // n_nodes)))
+        n = len(lo)
+        k = min(slots_per_node, max(1, -(-n // n_nodes)))
         intensity = self.region.memory_intensity
         # Each node decompresses its copy of every broadcast once; the cost is
         # amortized over the tasks co-resident on the node.
         bcast_raw = sum(self._buffer_info[nm].nbytes for nm in broadcast_reads)
         bcast_share = bcast_raw / k if k else 0.0
 
-        n = len(tiles)
         fpi = loop.flops_per_iter
         if fpi is None:
             flops = np.zeros(n, dtype=np.float64)
         elif callable(fpi):
             flops = np.fromiter(
-                (loop.tile_flops(t.lo, t.hi, self.scalars) for t in tiles),
+                (loop.tile_flops(t_lo, t_hi, self.scalars)
+                 for t_lo, t_hi in zip(lo.tolist(), hi.tolist())),
                 dtype=np.float64, count=n)
         else:
             flops = float(fpi) * (hi - lo)
@@ -728,7 +731,8 @@ class SparkJobGenerator:
         return np.rint(raw * ratio).astype(np.int64)
 
     # ------------------------------------------------------------ reconstruct
-    def _reconstruct(self, loop: ParallelLoop, partitions: list[list[Any]], tiles) -> None:
+    def _reconstruct(self, loop: ParallelLoop, partitions: list[list[Any]],
+                     n_tiles: int) -> None:
         clock, timeline = self.sc.clock, self.sc.timeline
         out_raw = 0
         for nm in loop.writes:
@@ -737,7 +741,7 @@ class SparkJobGenerator:
             if spec is not None and spec.is_partitioned and nm not in loop.reduction_vars:
                 out_raw += buf.nbytes
             else:
-                out_raw += buf.nbytes * len(tiles)  # bitor/reduce over per-task fulls
+                out_raw += buf.nbytes * n_tiles  # bitor/reduce over per-task fulls
         if self.mode == ExecutionMode.FUNCTIONAL:
             self._reconstruct_functional(loop, partitions)
         dt = out_raw / self.cal.driver_byte_bps

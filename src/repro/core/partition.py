@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.exprs import Expr, Num
 from repro.core.omp_ast import MapItem, MapType
-from repro.core.tiling import Tile
 
 
 class PartitionError(Exception):
@@ -70,35 +69,13 @@ def spec_from_map_item(item: MapItem, map_type: MapType, loop_var: str) -> Parti
     )
 
 
-def partition_for_tile(
-    spec: PartitionSpec, tile: Tile, env: Mapping[str, int]
-) -> tuple[int, int]:
-    """Widened element range owned by ``tile`` (the dynamic readjustment).
-
-    Bounds must be monotone in the loop variable — the contiguous-block
-    contract the paper's driver relies on when it "splits A according to the
-    partitioning bound defined by the user".  Violations raise
-    :class:`PartitionError` instead of silently mis-splitting.
-    """
-    if tile.size == 0:
-        raise PartitionError(f"empty tile {tile}")
-    first_lo, first_hi = spec.element_range(tile.lo, env)
-    last_lo, last_hi = spec.element_range(tile.hi - 1, env)
-    if last_lo < first_lo or last_hi < first_hi:
-        raise PartitionError(
-            f"{spec.name!r}: partition bounds are not monotone in {spec.loop_var!r} "
-            f"over tile [{tile.lo}, {tile.hi})"
-        )
-    return first_lo, last_hi
-
-
 def _element_ranges_vec(
     spec: PartitionSpec, iters: np.ndarray, env: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :meth:`PartitionSpec.element_range` over an iteration array.
 
     Raises the same :class:`PartitionError` (same message, first offending
-    iteration) the scalar path would.
+    iteration) the scalar method would.
     """
     if spec.upper is None:
         raise PartitionError(f"{spec.name!r} has no section to evaluate")
@@ -125,23 +102,28 @@ def partition_windows(
     tile_hi: np.ndarray,
     env: Mapping[str, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`partition_for_tile` over parallel tile-bound arrays.
+    """Widened element ranges owned by each tile (the dynamic readjustment).
 
-    Returns int64 arrays ``(lo, hi)`` with ``(lo[j], hi[j]) ==
-    partition_for_tile(spec, Tile(j, tile_lo[j], tile_hi[j]), env)`` — one
-    symbolic evaluation per bound expression instead of one per tile, which
-    is what keeps million-task loops out of the interpreter (see
-    docs/PERFORMANCE.md).  Validation matches the scalar path: empty tiles,
-    invalid bounds and non-monotone sections raise the same
-    :class:`PartitionError` text for the first offending tile.
+    Tile ``j`` covers iterations ``[tile_lo[j], tile_hi[j])`` and owns
+    elements ``[element_range(tile_lo[j]).lower,
+    element_range(tile_hi[j] - 1).upper)``; the result is that pair of int64
+    columns ``(lo, hi)``.  One symbolic evaluation per bound expression
+    instead of one per tile keeps million-task loops out of the interpreter
+    (see docs/PERFORMANCE.md).
+
+    Bounds must be monotone in the loop variable — the contiguous-block
+    contract the paper's driver relies on when it "splits A according to the
+    partitioning bound defined by the user".  Empty tiles, invalid bounds and
+    non-monotone sections raise :class:`PartitionError` for the first
+    offending tile instead of silently mis-splitting.
     """
     tile_lo = np.asarray(tile_lo, dtype=np.int64)
     tile_hi = np.asarray(tile_hi, dtype=np.int64)
     empty = tile_hi - tile_lo == 0
     if np.any(empty):
         j = int(np.argmax(empty))
-        raise PartitionError(
-            f"empty tile {Tile(index=j, lo=int(tile_lo[j]), hi=int(tile_hi[j]))}")
+        raise PartitionError(f"empty tile Tile(index={j}, lo={int(tile_lo[j])}, "
+                             f"hi={int(tile_hi[j])})")
     first_lo, first_hi = _element_ranges_vec(spec, tile_lo, env)
     last_lo, last_hi = _element_ranges_vec(spec, tile_hi - 1, env)
     bad = (last_lo < first_lo) | (last_hi < first_hi)
@@ -152,28 +134,3 @@ def partition_windows(
             f"{spec.loop_var!r} over tile [{int(tile_lo[j])}, {int(tile_hi[j])})"
         )
     return first_lo, last_hi
-
-
-def check_exact_cover(
-    spec: PartitionSpec,
-    tiles: list[Tile],
-    env: Mapping[str, int],
-    total_elements: int,
-) -> None:
-    """Verify tiles' widened ranges tile the variable exactly (no overlap, no
-    gap, full coverage).  Used by the driver before scattering and heavily by
-    the property tests."""
-    cursor = 0
-    for tile in sorted(tiles, key=lambda t: t.lo):
-        lo, hi = partition_for_tile(spec, tile, env)
-        if lo != cursor:
-            raise PartitionError(
-                f"{spec.name!r}: partition gap/overlap at element {cursor} "
-                f"(tile [{tile.lo},{tile.hi}) starts at {lo})"
-            )
-        cursor = hi
-    if cursor != total_elements:
-        raise PartitionError(
-            f"{spec.name!r}: partitions cover [0, {cursor}) but the variable "
-            f"has {total_elements} elements"
-        )

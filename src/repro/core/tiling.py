@@ -12,60 +12,33 @@ The total core count C "is passed as an argument when Spark is calling the
 map functions to avoid any recompilation when executing on different
 clusters" — here, ``tile_iterations`` is evaluated at job-generation time
 with the live cluster's core count.
+
+Every tiler returns the tiles as two parallel int64 columns ``(lo, hi)``:
+tile ``j`` covers iterations ``[lo[j], hi[j])`` and its index is its array
+position.  ``lo == hi`` is a legal *empty* tile (zero iterations, the way
+``range_partition(n, parts)`` yields empty chunks when ``parts > n``); empty
+tiles are values, not work — the job generator drops them with
+:func:`drop_empty_tiles` before any task is built, so no launch, JNI call or
+transfer is ever charged for one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
+
+#: Tile bounds as parallel int64 columns ``(lo, hi)``.
+TileColumns = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class Tile:
-    """One tile: iterations [lo, hi) of the original loop.
-
-    ``lo == hi`` is a legal *empty* tile: it denotes zero iterations, the
-    way ``range_partition(n, parts)`` yields empty chunks when ``parts > n``.
-    Empty tiles are values, not work — the job generator drops them (via
-    :func:`drop_empty_tiles`) before any task is built, so no launch, JNI
-    call, or transfer is ever charged for one.
-    """
-
-    index: int
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"bad tile bounds [{self.lo}, {self.hi})")
-
-    @staticmethod
-    def _unchecked(index: int, lo: int, hi: int) -> "Tile":
-        """Build a tile bypassing dataclass ``__init__``.
-
-        The frozen-dataclass constructor costs three ``object.__setattr__``
-        calls plus validation per tile; bulk tilers whose bounds are valid by
-        construction (``0 <= lo <= hi`` falls out of the loop structure) use
-        this to stay cheap at million-tile counts.  Equality/hash/repr are
-        field-based, so the result is indistinguishable from ``Tile(...)``.
-        """
-        t = object.__new__(Tile)
-        d = t.__dict__
-        d["index"] = index
-        d["lo"] = lo
-        d["hi"] = hi
-        return t
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    def iterations(self) -> range:
-        return range(self.lo, self.hi)
+def _chunks(n: int, width: int) -> TileColumns:
+    lo = np.arange(0, n, width, dtype=np.int64)
+    return lo, np.minimum(lo + width, n)
 
 
-def tile_iterations(n: int, cores: int) -> list[Tile]:
+def tile_iterations(n: int, cores: int) -> TileColumns:
     """Transcription of Algorithm 1.
 
     Tiles are ``floor(N/C)`` wide; because N rarely divides C exactly, the
@@ -73,35 +46,26 @@ def tile_iterations(n: int, cores: int) -> list[Tile]:
     ``min(ii + floor(N/C) - 1, N-1)`` upper clamp.  When ``C >= N`` the tile
     width clamps to 1 (one iteration per task; no fewer is possible).
 
-    >>> [(t.lo, t.hi) for t in tile_iterations(10, 4)]
+    >>> lo, hi = tile_iterations(10, 4)
+    >>> list(zip(lo.tolist(), hi.tolist()))
     [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
     """
     if n < 0:
         raise ValueError(f"negative trip count {n!r}")
     if cores < 1:
         raise ValueError(f"need at least one core, got {cores!r}")
-    if n == 0:
-        return []
-    width = max(1, n // cores)
-    tiles = []
-    index = 0
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        tiles.append(Tile(index=index, lo=lo, hi=hi))
-        index += 1
-    return tiles
+    return _chunks(n, max(1, n // cores))
 
 
-def untiled(n: int) -> list[Tile]:
+def untiled(n: int) -> TileColumns:
     """The original loop: one tile per iteration (the ablation baseline —
     every iteration pays a JNI call and a task launch)."""
     if n < 0:
         raise ValueError(f"negative trip count {n!r}")
-    mk = Tile._unchecked
-    return [mk(i, i, i + 1) for i in range(n)]
+    return _chunks(n, 1)
 
 
-def tile_weighted(n: int, capacities: Sequence[float]) -> list[Tile]:
+def tile_weighted(n: int, capacities: Sequence[float]) -> TileColumns:
     """Capacity-aware tiling — schedule mode ``weighted``.
 
     Algorithm 1 sizes every tile to ``floor(N/C)`` because it assumes C
@@ -117,9 +81,10 @@ def tile_weighted(n: int, capacities: Sequence[float]) -> list[Tile]:
     tile width.  The boundaries are monotone by construction, so the tiles
     partition ``[0, N)`` exactly, with no overlap; a zero-capacity slot
     contributes no boundary movement and therefore gets no tile.  Empty
-    tiles are dropped and indices renumbered contiguously.
+    tiles are dropped, so indices stay contiguous.
 
-    >>> [(t.lo, t.hi) for t in tile_weighted(10, [1.0, 1.0, 0.5])]
+    >>> lo, hi = tile_weighted(10, [1.0, 1.0, 0.5])
+    >>> list(zip(lo.tolist(), hi.tolist()))
     [(0, 4), (4, 8), (8, 10)]
     """
     if n < 0:
@@ -133,51 +98,28 @@ def tile_weighted(n: int, capacities: Sequence[float]) -> list[Tile]:
     if total <= 0.0:
         raise ValueError("total slot capacity must be > 0")
     if n == 0:
-        return []
+        return _chunks(0, 1)
     bounds = [0]
     cum = 0.0
     for c in caps:
         cum += c
         bounds.append(min(n, round(n * cum / total)))
     bounds[-1] = n  # float round-off must never drop trailing iterations
-    tiles: list[Tile] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            tiles.append(Tile(index=len(tiles), lo=lo, hi=hi))
-    return tiles
+    b = np.array(bounds, dtype=np.int64)
+    return drop_empty_tiles(b[:-1], b[1:])
 
 
-def drop_empty_tiles(tiles: Iterable[Tile]) -> list[Tile]:
-    """Remove zero-size tiles and renumber indices contiguously.
+def drop_empty_tiles(lo: np.ndarray, hi: np.ndarray) -> TileColumns:
+    """Remove zero-size tiles; the survivors are renumbered by position.
 
-    The scheduler-facing half of the empty-tile contract (see
-    :class:`Tile`): an empty tile is representable but never schedulable.
+    The scheduler-facing half of the empty-tile contract (see the module
+    docstring): an empty tile is representable but never schedulable.
     """
-    out: list[Tile] = []
-    for t in tiles:
-        if t.size > 0:
-            out.append(t if t.index == len(out)
-                       else Tile(index=len(out), lo=t.lo, hi=t.hi))
-    return out
+    keep = hi > lo
+    return lo[keep], hi[keep]
 
 
-def tiles_cover(tiles: list[Tile], n: int) -> bool:
-    """True when the tiles partition ``range(n)`` exactly (test invariant).
-
-    Empty tiles are ignored: they contribute no iterations, so they can sit
-    anywhere without breaking the cover.
-    """
-    covered: list[tuple[int, int]] = sorted(
-        (t.lo, t.hi) for t in tiles if t.size > 0)
-    cursor = 0
-    for lo, hi in covered:
-        if lo != cursor:
-            return False
-        cursor = hi
-    return cursor == n
-
-
-def tile_by_chunk(n: int, chunk: int) -> list[Tile]:
+def tile_by_chunk(n: int, chunk: int) -> TileColumns:
     """Fixed-width tiles for an explicit ``schedule(static|dynamic, chunk)``.
 
     OpenMP's chunked schedules override Algorithm 1's cluster-size width: the
@@ -187,7 +129,4 @@ def tile_by_chunk(n: int, chunk: int) -> list[Tile]:
         raise ValueError(f"negative trip count {n!r}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk!r}")
-    mk = Tile._unchecked
-    last = n - chunk
-    return [mk(index, lo, lo + chunk if lo <= last else n)
-            for index, lo in enumerate(range(0, n, chunk))]
+    return _chunks(n, chunk)

@@ -24,7 +24,7 @@ from repro.perfmodel.compression import (
     measure_ratio,
     model_for_density,
 )
-from repro.perfmodel.compute import ComputeModel, TaskTiming
+from repro.perfmodel.compute import ComputeModel
 from repro.perfmodel.comm import HostCommModel, TransferPlan, TransferCost
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "measure_ratio",
     "model_for_density",
     "ComputeModel",
-    "TaskTiming",
     "HostCommModel",
     "TransferPlan",
     "TransferCost",

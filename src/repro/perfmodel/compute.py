@@ -16,23 +16,9 @@ Three effects shape the paper's computation curves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-
-
-@dataclass(frozen=True)
-class TaskTiming:
-    """Modelled durations of one map task's slot occupancy."""
-
-    compute_s: float
-    jni_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.jni_s
 
 
 class ComputeModel:
@@ -69,26 +55,6 @@ class ComputeModel:
         return 1.0 + self.cal.contention_ceiling * intensity * (k - 1) / (slots_per_node - 1)
 
     # --------------------------------------------------------------- OmpCloud
-    def task_timing(
-        self,
-        tile_flops: float,
-        tasks_on_node: int,
-        slots_per_node: int,
-        intensity: float,
-        task_index: int = 0,
-        jni_calls: int = 1,
-    ) -> TaskTiming:
-        """Slot time of one map task computing ``tile_flops``.
-
-        ``jni_calls`` is 1 after Algorithm 1's tiling; an untiled loop pays one
-        call per iteration (the ablation bench exercises exactly this).
-        """
-        base = self.sequential_time(tile_flops)
-        cont = self.contention_factor(tasks_on_node, slots_per_node, intensity)
-        noise = self._straggler_noise(task_index)
-        compute = base * (1.0 + self.cal.jni_efficiency_loss) * cont * noise
-        return TaskTiming(compute_s=compute, jni_s=self.cal.jni_call_s * max(0, jni_calls))
-
     def straggler_noise(self, task_index: int) -> float:
         """The seeded mean-one straggler multiplier for ``task_index``.
 
@@ -119,14 +85,15 @@ class ComputeModel:
         task_indices: np.ndarray,
         jni_calls: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`task_timing`: ``(compute_s, jni_s)`` arrays.
+        """Slot time of every map task: ``(compute_s, jni_s)`` arrays.
 
-        Element ``j`` is bit-identical to
-        ``task_timing(tile_flops[j], ..., task_index=task_indices[j])`` —
-        the multiplications happen in the same order on the same float64
-        values, and the straggler draw goes through the same per-index
-        generator (memoized).  With ``straggler_sigma == 0`` the whole
-        timing pass is a handful of array ops regardless of task count.
+        Task ``j`` computes ``tile_flops[j]`` at the sequential rate, slowed
+        by the JNI efficiency loss, the node's memory contention and the
+        seeded straggler draw for ``task_indices[j]`` (memoized per index).
+        ``jni_calls`` is 1 after Algorithm 1's tiling; an untiled loop pays
+        one call per iteration (the ablation bench exercises exactly this).
+        With ``straggler_sigma == 0`` the whole timing pass is a handful of
+        array ops regardless of task count.
         """
         flops = np.asarray(tile_flops, dtype=np.float64)
         if flops.size and float(flops.min()) < 0:

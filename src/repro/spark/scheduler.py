@@ -29,7 +29,9 @@ Scale notes (docs/PERFORMANCE.md): a job is always one columnar
 per-task objects in any mode), executors are picked through the
 amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, collects are
 ordered with one ``np.lexsort`` instead of repeated ``sorted(results, ...)``
-passes, and :class:`TaskResult` objects are materialized lazily.  All of it
+passes, a coarse timeline's worker phases are folded once at job end from
+the result columns, and :class:`TaskResult` objects are materialized
+lazily.  All of it
 is bit-identical to the historical object-per-task implementation —
 scheduling order is observable through reports, journals and traces, and a
 property test pins the equivalence.
@@ -70,30 +72,25 @@ __all__ = [
 MAX_TASK_FAILURES = 4
 
 
-def _agg_entry(agg: dict, phase: Phase, resource: str) -> list:
-    """Get-or-create one coarse aggregate ([count, min, max, busy]) entry.
+#: The per-task worker phases, in the order each task runs them.
+_WORKER_PHASES = (Phase.WORKER_DECOMPRESS, Phase.JNI_CALL, Phase.COMPUTE,
+                  Phase.WORKER_COMPRESS)
 
-    Entries start at the identity ([0, +inf, -inf, 0.0]) and are only ever
-    created immediately before a :func:`_bump`, so no empty group is ever
-    visible — the aggregate ends up element-for-element identical to what
-    ``Timeline.record`` would have built span by span.
+
+def _settle(e: list, count: int, first: float, last: float,
+            busy: float) -> None:
+    """Write a run of ``count`` spans into a coarse aggregate entry.
+
+    ``first``/``last`` are the run's earliest start and latest end (its
+    cursor never moves backwards); ``busy`` already continues the entry's
+    own busy sum span by span, so it replaces it.
     """
-    key = (phase, resource)
-    e = agg.get(key)
-    if e is None:
-        e = agg[key] = [0, float("inf"), float("-inf"), 0.0]
-    return e
-
-
-def _bump(e: list, start: float, end: float) -> None:
-    """Fold one span into a coarse aggregate entry (same math as
-    ``Timeline.record``'s coarse path, minus the call overhead)."""
-    e[0] += 1
-    if start < e[1]:
-        e[1] = start
-    if end > e[2]:
-        e[2] = end
-    e[3] += end - start
+    e[0] += count
+    if first < e[1]:
+        e[1] = first
+    if last > e[2]:
+        e[2] = last
+    e[3] = busy
 
 
 class JobFailedError(Exception):
@@ -178,14 +175,21 @@ class _JobRun:
         self.stats = JobStats(tasks=len(self.table))
         self.index = ExecutorIndex(executors)
         #: Coarse timelines aggregate and ignore labels: ``agg`` is their
-        #: aggregate dict (``None`` for a fine timeline), which the hot loop
-        #: updates in place (same math as ``Timeline.record``, without a
-        #: method call or a label f-string per span).
+        #: aggregate dict (``None`` for a fine timeline).  A coarse job keeps
+        #: driver-side spans in local sums and folds the worker phases once
+        #: at job end (:meth:`_fold_worker_phases`), so the hot loop makes no
+        #: per-span call and builds no label.
         self.fine = not timeline.coarse
         self.agg = timeline._agg
-        #: (id(executor) -> [entry or None] * 4) coarse aggregate entries for
-        #: the four per-task worker phases, created lazily per executor.
-        self._ex_entries: dict[int, list] = {}
+        #: Coarse only: entries of the driver-side keys the launch loop
+        #: touched, and ``(row, key, entry)`` for those the job creates —
+        #: held back so the fold can insert them in first-touch order.
+        self.driver_entries: dict[tuple[Phase, str], list] = {}
+        self.born: list[tuple[int, tuple[Phase, str], list]] = []
+        #: Coarse only: ``(row, start, executor position)`` of each
+        #: straggling original a speculative copy beat — the one kind of
+        #: span the result columns do not hold.
+        self.losers: list[tuple[int, float, int]] = []
         #: Fault bookkeeping is all dict probes; an empty plan (the common
         #: case) skips them entirely.
         self.no_faults = fault_plan is NO_FAULTS or fault_plan.empty
@@ -203,10 +207,10 @@ class _JobRun:
         self.tid = self.table.task_id.tolist()
         self.in_b = self.table.input_bytes.tolist()
         self.out_b = self.table.output_bytes.tolist()
-        self.dec_s = self.table.decompress_s.tolist()
-        self.jni_s = self.table.jni_s.tolist()
-        self.cmp_s = self.table.compute_s.tolist()
-        self.cpr_s = self.table.compress_s.tolist()
+        #: Fine only: each row's worker-phase seconds, in _WORKER_PHASES
+        #: order (a coarse job folds the table columns at job end).
+        self.phase_s = ([col.tolist() for col in self._phase_columns()]
+                        if self.fine else None)
         # Result columns, filled as rows complete.
         self.r_start = [0.0] * n
         self.r_end = [0.0] * n
@@ -257,9 +261,16 @@ class _JobRun:
         driver_cursor = ready0
         nic_cursor = ready0
         agg = self.agg
-        e_sched = (_agg_entry(agg, Phase.SCHEDULING, "driver")
-                   if agg is not None and n else None)
-        e_intra = None
+        coarse = agg is not None
+        # Coarse driver-side spans are summed locally: busy continues the
+        # entry's own sum span by span, as ``Timeline.record`` would.
+        e_sched = e_intra = None
+        sched_busy = intra_first = intra_busy = 0.0
+        intra_n = 0
+        if coarse and n:
+            e_sched = agg.setdefault((Phase.SCHEDULING, "driver"),
+                                     [0, float("inf"), float("-inf"), 0.0])
+            sched_busy = e_sched[3]
         #: Pipelined mode: scattered rows whose result is due, as a heap of
         #: (end, task_id, row) — pop order is exactly the historical
         #: ``min(uncollected, key=(end, task_id))`` scan.
@@ -267,8 +278,8 @@ class _JobRun:
         for row in range(n):
             launch_start = driver_cursor
             driver_cursor += launch_s
-            if e_sched is not None:
-                _bump(e_sched, launch_start, driver_cursor)
+            if coarse:
+                sched_busy += driver_cursor - launch_start
             else:
                 record(Phase.SCHEDULING, launch_start, driver_cursor,
                        resource="driver", label=f"launch-{tid[row]}")
@@ -278,7 +289,8 @@ class _JobRun:
                     # Back-pressure: at most pipeline_depth results may sit
                     # uncollected before the NIC must drain one.
                     while len(uncollected) >= schedule.pipeline_depth:
-                        nic_cursor = self._collect_one(uncollected, nic_cursor)
+                        nic_cursor = self._collect_one(uncollected, nic_cursor,
+                                                       row)
                     # Opportunistic overlap: any finished result whose
                     # transfer fits in the NIC gap before this scatter
                     # streams back now, while other tiles still compute.
@@ -287,15 +299,18 @@ class _JobRun:
                         dt = lan_time(out_b[nxt_row])
                         if max(nxt_end, nic_cursor) + dt > ready:
                             break
-                        nic_cursor = self._collect_one(uncollected, nic_cursor)
+                        nic_cursor = self._collect_one(uncollected,
+                                                       nic_cursor, row)
                 x0 = ready if ready > nic_cursor else nic_cursor
                 dt = lan_time(in_b[row])
                 nic_cursor = x0 + dt
-                if agg is not None:
+                if coarse:
                     if e_intra is None:
-                        e_intra = _agg_entry(agg, Phase.INTRA_TRANSFER,
-                                             "driver-nic")
-                    _bump(e_intra, x0, nic_cursor)
+                        e_intra = self._entry(Phase.INTRA_TRANSFER,
+                                              "driver-nic", row)
+                        intra_first, intra_busy = x0, e_intra[3]
+                    intra_n += 1
+                    intra_busy += nic_cursor - x0
                 else:
                     record(Phase.INTRA_TRANSFER, x0, nic_cursor,
                            resource="driver-nic", label=f"scatter-{tid[row]}")
@@ -314,26 +329,36 @@ class _JobRun:
                                    (self.r_end[row], tid[row], row))
                 else:
                     self.r_collected[row] = self.r_end[row]
+        if e_sched is not None:
+            _settle(e_sched, n, ready0, driver_cursor, sched_busy)
+        if e_intra is not None:
+            # Scatters never start before the previous one ended: the first
+            # starts earliest and the last ends latest.
+            _settle(e_intra, intra_n, intra_first, nic_cursor, intra_busy)
 
         # ---------------------------------------------------------- collect
         collect_cursor = nic_cursor
         if pipelined:
             while uncollected:
-                collect_cursor = self._collect_one(uncollected, collect_cursor)
+                collect_cursor = self._collect_one(uncollected, collect_cursor,
+                                                   n)
         else:
             ends = np.array(self.r_end)
             e_coll = None
+            coll_n, coll_first, coll_busy = 0, 0.0, 0.0
             for row in np.lexsort((self.table.task_id, ends)).tolist():
                 if out_b[row] > 0:
                     end = self.r_end[row]
                     c0 = end if end > collect_cursor else collect_cursor
                     dt = lan_time(out_b[row])
                     collect_cursor = c0 + dt
-                    if agg is not None:
+                    if coarse:
                         if e_coll is None:
-                            e_coll = _agg_entry(agg, Phase.COLLECT,
-                                                "driver-nic")
-                        _bump(e_coll, c0, collect_cursor)
+                            e_coll = self._entry(Phase.COLLECT, "driver-nic",
+                                                 n)
+                            coll_first, coll_busy = c0, e_coll[3]
+                        coll_n += 1
+                        coll_busy += collect_cursor - c0
                     else:
                         record(Phase.COLLECT, c0, collect_cursor,
                                resource="driver-nic",
@@ -341,6 +366,10 @@ class _JobRun:
                     self.r_collected[row] = collect_cursor
                 else:
                     self.r_collected[row] = self.r_end[row]
+            if e_coll is not None:
+                _settle(e_coll, coll_n, coll_first, collect_cursor, coll_busy)
+        if coarse:
+            self._fold_worker_phases()
 
         job_end = max(self.r_collected, default=ready0)
         clock.advance_to(max(job_end, clock.now))
@@ -448,10 +477,15 @@ class _JobRun:
                     # (Spark kills it, but the model bills the spent time);
                     # its spans stay on the timeline, unlabelled as a task
                     # completion — no TaskEnd is emitted for a killed copy.
-                    self._record_task_spans(row, res.start, ex)
+                    if self.fine:
+                        self._record_task_spans(row, res.start, ex)
+                    else:
+                        self.losers.append((row, res.start,
+                                            self.pos_of[id(ex)]))
                     return
 
-            self._record_task_spans(row, res.start, ex)
+            if self.fine:
+                self._record_task_spans(row, res.start, ex)
             if self.bus.is_active:
                 tid = self.tid[row]
                 self.bus.emit(TaskStart(time=res.start, resource=ex.worker_id,
@@ -510,9 +544,12 @@ class _JobRun:
             return False  # the copy cannot win; Spark would not launch it
 
         copy = copy_ex.reserve(launch_end, duration)
-        self.timeline.record(Phase.SPECULATION, watch, launch_end,
-                             resource="driver",
-                             label=f"speculate-{tid}" if self.fine else "")
+        if self.fine:
+            self.timeline.record(Phase.SPECULATION, watch, launch_end,
+                                 resource="driver", label=f"speculate-{tid}")
+        else:
+            e = self._entry(Phase.SPECULATION, "driver", row)
+            _settle(e, 1, watch, launch_end, e[3] + (launch_end - watch))
         self.stats.speculated_tasks += 1
         bus = self.bus
         if bus.is_active:
@@ -553,7 +590,9 @@ class _JobRun:
         saved = max(0.0, counterfactual - copy.end)
         self.stats.speculation_wins += 1
         self.stats.speculation_saved_s += saved
-        self._record_task_spans(row, copy.start, copy_ex, label_suffix="-spec")
+        if self.fine:
+            self._record_task_spans(row, copy.start, copy_ex,
+                                    label_suffix="-spec")
         if bus.is_active:
             bus.emit(TaskStart(time=copy.start, resource=copy_ex.worker_id,
                                task_id=tid, worker=copy_ex.worker_id))
@@ -574,58 +613,122 @@ class _JobRun:
             self.values[row] = value
         return True
 
+    def _entry(self, phase: Phase, resource: str, row: int) -> list:
+        """Coarse aggregate entry of a driver-side key the job touches at
+        launch-loop ``row`` (``n`` once the loop is over).  A key the
+        timeline does not have yet is held back in ``born`` with its row."""
+        key = (phase, resource)
+        e = self.driver_entries.get(key)
+        if e is None:
+            e = self.agg.get(key)
+            if e is None:
+                e = [0, float("inf"), float("-inf"), 0.0]
+                self.born.append((row, key, e))
+            self.driver_entries[key] = e
+        return e
+
     def _collect_one(self, pending: list[tuple[float, int, int]],
-                     cursor: float) -> float:
-        """Stream the earliest-finished pending result back over the NIC."""
+                     cursor: float, at_row: int) -> float:
+        """Stream the earliest-finished pending result back over the NIC
+        (while the launch loop is at ``at_row``)."""
         end, tid, row = heapq.heappop(pending)
         c0 = end if end > cursor else cursor
         dt = self.network.lan_transfer_time(self.out_b[row])
         cursor = c0 + dt
-        agg = self.agg
-        if agg is not None:
-            _bump(_agg_entry(agg, Phase.COLLECT, "driver-nic"), c0, cursor)
-        else:
+        if self.fine:
             self.timeline.record(Phase.COLLECT, c0, cursor,
                                  resource="driver-nic", label=f"collect-{tid}")
+        else:
+            e = self._entry(Phase.COLLECT, "driver-nic", at_row)
+            _settle(e, 1, c0, cursor, e[3] + (cursor - c0))
         self.r_collected[row] = cursor
         return cursor
 
+    def _phase_columns(self) -> tuple[np.ndarray, ...]:
+        t = self.table
+        return (t.decompress_s, t.jni_s, t.compute_s, t.compress_s)
+
+    def _fold_worker_phases(self) -> None:
+        """Fold every task's worker-phase spans into the coarse aggregate.
+
+        A task's spans chain from its start on one executor: each phase
+        with ``dur > 0`` runs ``[cursor, cursor + dur / speed)``.  Each
+        row's winning attempt is in the result columns; a straggling
+        original that speculation beat follows its row's winner, as it did
+        on the timeline.  Counts, envelopes and busy sums are NumPy
+        group-bys over those spans.  ``np.add.at`` adds sequentially in
+        record order from the value already in an entry, so busy sums are
+        bit-identical to recording span by span (a pairwise ``np.sum``
+        would not be).  Keys the job creates enter the aggregate in
+        first-touch order, interleaved with the driver-side keys the launch
+        loop created: those precede their row's worker spans.
+        """
+        agg, table = self.agg, self.table
+        n = len(table)
+        losers = np.array(self.losers, dtype=np.float64).reshape(-1, 3)
+        loser_rows = losers[:, 0].astype(np.int64)
+        at = loser_rows + 1
+        rows = np.insert(np.arange(n, dtype=np.int64), at, loser_rows)
+        cursor = np.insert(np.array(self.r_start), at, losers[:, 1])
+        pos = np.insert(np.array(self.r_worker, dtype=np.int64), at,
+                        losers[:, 2].astype(np.int64))
+        # Record order within a row: the winner's four phases, then the
+        # loser's.
+        order = rows * 8 + np.insert(np.zeros(n, dtype=np.int64), at, 4)
+        speed = np.array([ex.speed for ex in self.executors])[pos]
+        names = list(dict.fromkeys(self.worker_ids))
+        slot = {name: i for i, name in enumerate(names)}
+        group = np.array([slot[w] for w in self.worker_ids],
+                         dtype=np.int64)[pos]
+        inf = float("inf")
+        touched: list[tuple[int, tuple[Phase, str], list | None, list]] = []
+        for p, (phase, col) in enumerate(zip(_WORKER_PHASES,
+                                             self._phase_columns())):
+            dur = col[rows]
+            on = dur > 0.0
+            nxt = np.where(on, cursor + dur / speed, cursor)
+            g, start, end = group[on], cursor[on], nxt[on]
+            cursor = nxt
+            keys = [(phase, name) for name in names]
+            old = [agg.get(k) for k in keys]
+            count = np.bincount(g, minlength=len(names))
+            lo = np.array([e[1] if e else inf for e in old])
+            hi = np.array([e[2] if e else -inf for e in old])
+            busy = np.array([e[3] if e else 0.0 for e in old])
+            first = np.full(len(names), np.iinfo(np.int64).max)
+            np.minimum.at(lo, g, start)
+            np.maximum.at(hi, g, end)
+            np.add.at(busy, g, end - start)
+            np.minimum.at(first, g, order[on])
+            for w in np.flatnonzero(count).tolist():
+                touched.append((int(first[w]) + p, keys[w], old[w],
+                                [int(count[w]), float(lo[w]), float(hi[w]),
+                                 float(busy[w])]))
+        touched.sort(key=lambda t: t[0])
+        born = self.born
+        b = 0
+        for rank, key, e, (count, lo, hi, busy) in touched:
+            while b < len(born) and born[b][0] * 8 <= rank:
+                agg[born[b][1]] = born[b][2]
+                b += 1
+            if e is None:
+                agg[key] = [count, lo, hi, busy]
+            else:
+                e[0] += count
+                e[1], e[2], e[3] = lo, hi, busy
+        for _row, key, e in born[b:]:
+            agg[key] = e
+
     def _record_task_spans(self, row: int, start: float, ex: Executor,
                            label_suffix: str = "") -> None:
+        """Record one attempt's worker phases on a fine timeline."""
         cursor = start
         speed = ex.speed
-        agg = self.agg
-        if agg is not None:
-            # Coarse: fold the four phases into per-executor aggregate
-            # entries, fetched once per executor and bumped in place.
-            ents = self._ex_entries.get(id(ex))
-            if ents is None:
-                ents = self._ex_entries[id(ex)] = [None, None, None, None]
-            resource = ex.worker_id
-            for i, (phase, dur) in enumerate((
-                (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
-                (Phase.JNI_CALL, self.jni_s[row]),
-                (Phase.COMPUTE, self.cmp_s[row]),
-                (Phase.WORKER_COMPRESS, self.cpr_s[row]),
-            )):
-                if dur > 0.0:
-                    scaled = dur / speed
-                    e = ents[i]
-                    if e is None:
-                        e = ents[i] = _agg_entry(agg, phase, resource)
-                    nxt = cursor + scaled
-                    _bump(e, cursor, nxt)
-                    cursor = nxt
-            return
         record = self.timeline.record
         resource = ex.worker_id
         label = f"{self.label_prefix}task-{self.tid[row]}{label_suffix}"
-        for phase, dur in (
-            (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
-            (Phase.JNI_CALL, self.jni_s[row]),
-            (Phase.COMPUTE, self.cmp_s[row]),
-            (Phase.WORKER_COMPRESS, self.cpr_s[row]),
-        ):
+        for phase, col in zip(_WORKER_PHASES, self.phase_s):
+            dur = col[row]
             if dur > 0.0:
                 scaled = dur / speed
                 record(phase, cursor, cursor + scaled,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.api import ParallelLoop, TargetRegion, offload
-from repro.core.tiling import tile_by_chunk, tiles_cover
+from repro.core.tiling import tile_by_chunk
 
 from tests.conftest import make_cloud_runtime
+from tests.oracles import as_tiles, tiles_cover
 
 
 def _region(pragma: str):
@@ -36,7 +37,7 @@ def _run(rt, pragma, n=64):
 
 # --------------------------------------------------------------- tile helper
 def test_tile_by_chunk_widths():
-    tiles = tile_by_chunk(10, 4)
+    tiles = as_tiles(tile_by_chunk(10, 4))
     assert [(t.lo, t.hi) for t in tiles] == [(0, 4), (4, 8), (8, 10)]
     assert tiles_cover(tiles, 10)
 
@@ -44,7 +45,7 @@ def test_tile_by_chunk_widths():
 def test_tile_by_chunk_covers_any_shape():
     for n in (1, 7, 100):
         for chunk in (1, 3, 7, 200):
-            assert tiles_cover(tile_by_chunk(n, chunk), n)
+            assert tiles_cover(as_tiles(tile_by_chunk(n, chunk)), n)
 
 
 def test_tile_by_chunk_validation():

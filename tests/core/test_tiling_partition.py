@@ -1,5 +1,6 @@
 """Algorithm 1 tiling and Eq. 1-3 partition analysis."""
 
+import numpy as np
 import pytest
 
 from repro.core.exprs import parse_expr
@@ -8,52 +9,57 @@ from repro.core.parser import parse_pragma
 from repro.core.partition import (
     PartitionError,
     PartitionSpec,
-    check_exact_cover,
-    partition_for_tile,
+    partition_windows,
     spec_from_map_item,
 )
-from repro.core.tiling import Tile, tile_iterations, tiles_cover, untiled
+from repro.core.tiling import tile_iterations, untiled
+
+from tests.oracles import (Tile, as_tiles, check_exact_cover,
+                           partition_for_tile, tiles_cover)
+
+
+def _spans(columns):
+    lo, hi = columns
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 # -------------------------------------------------------------------- tiling
 def test_exact_division():
-    tiles = tile_iterations(16, 4)
-    assert [(t.lo, t.hi) for t in tiles] == [(0, 4), (4, 8), (8, 12), (12, 16)]
+    assert _spans(tile_iterations(16, 4)) == [(0, 4), (4, 8), (8, 12), (12, 16)]
 
 
 def test_remainder_becomes_trailing_tile():
-    tiles = tile_iterations(10, 4)
     # width = floor(10/4) = 2 -> 5 tiles, Algorithm 1's clamped upper bound.
-    assert [(t.lo, t.hi) for t in tiles] == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    assert _spans(tile_iterations(10, 4)) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
 
 
 def test_more_cores_than_iterations_gives_unit_tiles():
-    tiles = tile_iterations(3, 100)
-    assert [(t.lo, t.hi) for t in tiles] == [(0, 1), (1, 2), (2, 3)]
+    assert _spans(tile_iterations(3, 100)) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_one_core_one_tile():
-    tiles = tile_iterations(7, 1)
-    assert [(t.lo, t.hi) for t in tiles] == [(0, 7)]
+    assert _spans(tile_iterations(7, 1)) == [(0, 7)]
 
 
 def test_zero_iterations():
-    assert tile_iterations(0, 4) == []
+    assert _spans(tile_iterations(0, 4)) == []
 
 
 def test_tiles_always_cover():
     for n in (1, 5, 16, 100, 12345):
         for c in (1, 3, 8, 16, 256, 1000):
-            assert tiles_cover(tile_iterations(n, c), n)
+            assert tiles_cover(as_tiles(tile_iterations(n, c)), n)
 
 
 def test_tile_indices_sequential():
-    tiles = tile_iterations(100, 7)
-    assert [t.index for t in tiles] == list(range(len(tiles)))
+    lo, hi = tile_iterations(100, 7)
+    # A tile's index is its position; the columns run in iteration order.
+    assert lo.dtype == hi.dtype == np.int64
+    assert (lo[1:] == hi[:-1]).all()
 
 
 def test_untiled_one_iteration_per_tile():
-    tiles = untiled(5)
+    tiles = as_tiles(untiled(5))
     assert all(t.size == 1 for t in tiles)
     assert tiles_cover(tiles, 5)
 
@@ -61,9 +67,9 @@ def test_untiled_one_iteration_per_tile():
 def test_tiled_task_count_near_core_count():
     # The point of Algorithm 1: ~C tasks, not N.
     n, c = 16384, 256
-    tiles = tile_iterations(n, c)
-    assert c <= len(tiles) <= c + 1
-    assert len(untiled(n)) == n
+    lo, _hi = tile_iterations(n, c)
+    assert c <= len(lo) <= c + 1
+    assert len(untiled(n)[0]) == n
 
 
 def test_invalid_tiling_arguments():
@@ -139,17 +145,20 @@ def test_negative_bounds_rejected():
 def test_empty_tile_rejected():
     with pytest.raises(PartitionError):
         partition_for_tile(_row_spec(), Tile(0, 3, 3), {"N": 4})
+    with pytest.raises(PartitionError, match="empty tile"):
+        partition_windows(_row_spec(), np.array([0, 3]), np.array([3, 3]),
+                          {"N": 4})
 
 
 def test_exact_cover_accepts_row_partitioning():
     spec = _row_spec()
-    tiles = tile_iterations(12, 4)
+    tiles = as_tiles(tile_iterations(12, 4))
     check_exact_cover(spec, tiles, {"N": 7}, total_elements=12 * 7)
 
 
 def test_exact_cover_detects_short_coverage():
     spec = _row_spec()
-    tiles = tile_iterations(10, 2)
+    tiles = as_tiles(tile_iterations(10, 2))
     with pytest.raises(PartitionError):
         check_exact_cover(spec, tiles, {"N": 7}, total_elements=11 * 7)
 

@@ -1,17 +1,16 @@
 """Capacity-weighted tiling and empty-tile semantics (docs/SCHEDULING.md)."""
 
+import numpy as np
 import pytest
 
-from repro.core.tiling import (
-    Tile,
-    drop_empty_tiles,
-    tile_weighted,
-    tiles_cover,
-)
+from repro.core.tiling import drop_empty_tiles, tile_weighted
+
+from tests.oracles import Tile, as_tiles, tiles_cover
 
 
-def _spans(tiles):
-    return [(t.lo, t.hi) for t in tiles]
+def _spans(columns):
+    lo, hi = columns
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def test_weighted_equal_capacities_match_algorithm_1_shape():
@@ -32,17 +31,17 @@ def test_weighted_half_speed_slot_gets_half_the_rows():
 def test_weighted_zero_capacity_slot_gets_nothing():
     tiles = tile_weighted(10, [1.0, 0.0, 1.0])
     assert _spans(tiles) == [(0, 5), (5, 10)]
-    assert [t.index for t in tiles] == [0, 1]
+    assert [t.index for t in as_tiles(tiles)] == [0, 1]
 
 
 def test_weighted_more_slots_than_iterations():
-    tiles = tile_weighted(2, [1.0] * 8)
+    tiles = as_tiles(tile_weighted(2, [1.0] * 8))
     assert tiles_cover(tiles, 2)
     assert all(t.size > 0 for t in tiles)
 
 
 def test_weighted_zero_iterations():
-    assert tile_weighted(0, [1.0, 2.0]) == []
+    assert _spans(tile_weighted(0, [1.0, 2.0])) == []
 
 
 @pytest.mark.parametrize("n, caps", [
@@ -70,11 +69,10 @@ def test_negative_tile_still_rejected():
 
 
 def test_drop_empty_tiles_renumbers():
-    tiles = [Tile(index=0, lo=0, hi=3), Tile(index=1, lo=3, hi=3),
-             Tile(index=2, lo=3, hi=7)]
-    kept = drop_empty_tiles(tiles)
+    kept = drop_empty_tiles(np.array([0, 3, 3]), np.array([3, 3, 7]))
     assert _spans(kept) == [(0, 3), (3, 7)]
-    assert [t.index for t in kept] == [0, 1]
+    # Indices are positions: the survivors are renumbered 0, 1.
+    assert [t.index for t in as_tiles(kept)] == [0, 1]
 
 
 def test_tiles_cover_ignores_empty_tiles():

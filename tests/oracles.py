@@ -1,0 +1,121 @@
+"""Scalar reference implementations the vectorized code is checked against.
+
+The simulator computes tiles, partition windows and task timings as NumPy
+columns.  These per-object versions state the same rules one tile or one
+task at a time; the unit and property tests compare the two bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+from repro.core.partition import PartitionError, PartitionSpec
+from repro.perfmodel.compute import ComputeModel
+
+
+@dataclass(frozen=True)
+class Tile:
+    """One tile: iterations [lo, hi) of the original loop.
+
+    ``lo == hi`` is a legal *empty* tile: it denotes zero iterations.
+    """
+
+    index: int
+    lo: int
+    hi: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError(f"bad tile bounds [{self.lo}, {self.hi})")
+
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo
+
+
+def as_tiles(columns) -> list[Tile]:
+    """Tile objects for a tiler's ``(lo, hi)`` columns (index = position)."""
+    lo, hi = columns
+    return [Tile(j, a, b) for j, (a, b) in enumerate(zip(lo.tolist(),
+                                                        hi.tolist()))]
+
+
+def tiles_cover(tiles: list[Tile], n: int) -> bool:
+    """True when the tiles partition ``range(n)`` exactly.
+
+    Empty tiles are ignored: they contribute no iterations, so they can sit
+    anywhere without breaking the cover.
+    """
+    cursor = 0
+    for lo, hi in sorted((t.lo, t.hi) for t in tiles if t.size > 0):
+        if lo != cursor:
+            return False
+        cursor = hi
+    return cursor == n
+
+
+def partition_for_tile(
+    spec: PartitionSpec, tile: Tile, env: Mapping[str, int]
+) -> tuple[int, int]:
+    """Widened element range owned by ``tile`` (the dynamic readjustment)."""
+    if tile.size == 0:
+        raise PartitionError(f"empty tile {tile}")
+    first_lo, first_hi = spec.element_range(tile.lo, env)
+    last_lo, last_hi = spec.element_range(tile.hi - 1, env)
+    if last_lo < first_lo or last_hi < first_hi:
+        raise PartitionError(
+            f"{spec.name!r}: partition bounds are not monotone in {spec.loop_var!r} "
+            f"over tile [{tile.lo}, {tile.hi})"
+        )
+    return first_lo, last_hi
+
+
+def check_exact_cover(
+    spec: PartitionSpec,
+    tiles: list[Tile],
+    env: Mapping[str, int],
+    total_elements: int,
+) -> None:
+    """Verify the tiles' widened ranges tile the variable exactly (no
+    overlap, no gap, full coverage)."""
+    cursor = 0
+    for tile in sorted(tiles, key=lambda t: t.lo):
+        lo, hi = partition_for_tile(spec, tile, env)
+        if lo != cursor:
+            raise PartitionError(
+                f"{spec.name!r}: partition gap/overlap at element {cursor} "
+                f"(tile [{tile.lo},{tile.hi}) starts at {lo})"
+            )
+        cursor = hi
+    if cursor != total_elements:
+        raise PartitionError(
+            f"{spec.name!r}: partitions cover [0, {cursor}) but the variable "
+            f"has {total_elements} elements"
+        )
+
+
+@dataclass(frozen=True)
+class TaskTiming:
+    """Modelled durations of one map task's slot occupancy."""
+
+    compute_s: float
+    jni_s: float
+
+
+def task_timing(
+    model: ComputeModel,
+    tile_flops: float,
+    tasks_on_node: int,
+    slots_per_node: int,
+    intensity: float,
+    task_index: int = 0,
+    jni_calls: int = 1,
+) -> TaskTiming:
+    """Slot time of one map task computing ``tile_flops``."""
+    base = model.sequential_time(tile_flops)
+    cont = model.contention_factor(tasks_on_node, slots_per_node, intensity)
+    noise = model.straggler_noise(task_index)
+    compute = base * (1.0 + model.cal.jni_efficiency_loss) * cont * noise
+    return TaskTiming(compute_s=compute,
+                      jni_s=model.cal.jni_call_s * max(0, jni_calls))

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core.exprs import parse_expr
 from repro.core.omp_ast import MapType
-from repro.core.partition import (
-    PartitionSpec,
-    check_exact_cover,
-    partition_for_tile,
-)
-from repro.core.tiling import tile_iterations, tiles_cover, untiled
+from repro.core.partition import PartitionSpec
+from repro.core.tiling import tile_iterations, untiled
 from repro.spark.partitioner import owner_of, range_partition
+
+from tests.oracles import (as_tiles, check_exact_cover, partition_for_tile,
+                           tiles_cover)
 
 sizes = st.integers(min_value=0, max_value=5000)
 positive_sizes = st.integers(min_value=1, max_value=5000)
@@ -27,12 +26,12 @@ parts = st.integers(min_value=1, max_value=64)
 
 @given(n=sizes, c=cores)
 def test_tiles_exactly_cover_iteration_space(n, c):
-    assert tiles_cover(tile_iterations(n, c), n)
+    assert tiles_cover(as_tiles(tile_iterations(n, c)), n)
 
 
 @given(n=positive_sizes, c=cores)
 def test_tile_count_close_to_cores(n, c):
-    tiles = tile_iterations(n, c)
+    tiles = as_tiles(tile_iterations(n, c))
     if n >= c:
         # Algorithm 1: floor(N/C)-wide tiles -> between C and C + C/... tiles;
         # never more than 2C and never fewer than C.
@@ -43,7 +42,7 @@ def test_tile_count_close_to_cores(n, c):
 
 @given(n=positive_sizes, c=cores)
 def test_tile_sizes_uniform_except_tail(n, c):
-    tiles = tile_iterations(n, c)
+    tiles = as_tiles(tile_iterations(n, c))
     widths = {t.size for t in tiles[:-1]}
     assert len(widths) <= 1  # all non-tail tiles share the width
     if widths:
@@ -52,7 +51,7 @@ def test_tile_sizes_uniform_except_tail(n, c):
 
 @given(n=sizes)
 def test_untiled_covers(n):
-    assert tiles_cover(untiled(n), n)
+    assert tiles_cover(as_tiles(untiled(n)), n)
 
 
 @given(n=sizes, p=parts)
@@ -94,7 +93,7 @@ def test_row_partition_tiles_cover_matrix(n, c, row):
         upper=parse_expr("(i+1)*R"),
         loop_var="i",
     )
-    tiles = tile_iterations(n, c)
+    tiles = as_tiles(tile_iterations(n, c))
     check_exact_cover(spec, tiles, {"R": row}, total_elements=n * row)
 
 
@@ -109,7 +108,7 @@ def test_tile_windows_are_disjoint_and_ordered(n, c, row):
         name="A", map_type=MapType.TO,
         lower=parse_expr("i*R"), upper=parse_expr("(i+1)*R"), loop_var="i",
     )
-    tiles = tile_iterations(n, c)
+    tiles = as_tiles(tile_iterations(n, c))
     windows = [partition_for_tile(spec, t, {"R": row}) for t in tiles]
     for (a_lo, a_hi), (b_lo, b_hi) in zip(windows, windows[1:]):
         assert a_hi == b_lo  # contiguous, disjoint, ordered

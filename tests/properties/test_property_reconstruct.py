@@ -24,9 +24,10 @@ def test_scatter_reconstruct_identity(n, c, seed):
     rng = np.random.default_rng(seed)
     original = rng.uniform(-10, 10, n).astype(np.float32)
     rebuilt = np.empty_like(original)
-    for tile in tile_iterations(n, c):
-        window = original[tile.lo : tile.hi].copy()  # scatter
-        rebuilt[tile.lo : tile.hi] = window  # indexed write (Eq. 8, case 1)
+    lo, hi = tile_iterations(n, c)
+    for t_lo, t_hi in zip(lo.tolist(), hi.tolist()):
+        window = original[t_lo:t_hi].copy()  # scatter
+        rebuilt[t_lo:t_hi] = window  # indexed write (Eq. 8, case 1)
     assert np.array_equal(original, rebuilt)
 
 
@@ -110,5 +111,6 @@ def test_sum_reduction_partition_invariant(n, c, n_parts, seed):
     rng = np.random.default_rng(seed)
     data = rng.integers(-1000, 1000, n).astype(np.float64)
     total = data.sum()
-    partials = [data[t.lo : t.hi].sum() for t in tile_iterations(n, c)]
+    lo, hi = tile_iterations(n, c)
+    partials = [data[a:b].sum() for a, b in zip(lo.tolist(), hi.tolist())]
     assert np.isclose(sum(partials), total, rtol=1e-12, atol=1e-9)

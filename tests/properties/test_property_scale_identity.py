@@ -11,9 +11,11 @@ properties pin that contract on randomized small grids:
   report dict and journal are byte-equal to the fine-grained run, and the
   coarse aggregates match aggregates recomputed from the fine run's spans;
 * the vectorized kernels agree with the scalar reference implementations
-  (still shipped and exercised by the functional path) to the last bit:
-  ``partition_windows`` vs :func:`partition_for_tile`,
-  ``task_timing_vec`` vs :meth:`ComputeModel.task_timing`.
+  in :mod:`tests.oracles` to the last bit: ``partition_windows`` vs
+  ``partition_for_tile``, ``task_timing_vec`` vs ``task_timing``.
+
+The exact, order-sensitive oracle for coarse job aggregates is
+``test_property_coarse_fold.py``.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ from repro.core.api import ParallelLoop, TargetRegion, offload
 from repro.core.buffers import ExecutionMode
 from repro.core.exprs import parse_expr
 from repro.core.omp_ast import MapType
-from repro.core.partition import (PartitionSpec, partition_for_tile,
-                                  partition_windows)
+from repro.core.partition import PartitionSpec, partition_windows
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
-from repro.core.tiling import Tile
 from repro.metrics.figures import demo_config
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 from repro.perfmodel.compute import ComputeModel
 from repro.simtime import coarse_timelines
 from repro.spark.faults import FaultPlan
 from repro.spark.schedule import ScheduleConfig
+
+from tests.oracles import Tile, partition_for_tile, task_timing
 
 
 def _region(chunk: int | None) -> TargetRegion:
@@ -194,7 +196,7 @@ def test_task_timing_vec_matches_scalar_reference(n, sigma, tasks_on_node,
     compute_vec, jni_vec = model.task_timing_vec(
         flops, tasks_on_node, slots, intensity, idx, jni_calls=jni_calls)
     for j in range(n):
-        t = model.task_timing(float(flops[j]), tasks_on_node, slots,
-                              intensity, task_index=j, jni_calls=jni_calls)
+        t = task_timing(model, float(flops[j]), tasks_on_node, slots,
+                        intensity, task_index=j, jni_calls=jni_calls)
         assert compute_vec[j] == t.compute_s, j
         assert jni_vec[j] == t.jni_s, j

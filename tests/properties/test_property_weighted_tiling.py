@@ -11,7 +11,9 @@ computes the wrong loop.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tiling import tile_weighted, tiles_cover
+from repro.core.tiling import tile_weighted
+
+from tests.oracles import as_tiles, tiles_cover
 
 capacities = st.lists(
     st.one_of(
@@ -26,7 +28,7 @@ capacities = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(min_value=0, max_value=1_000_000), caps=capacities)
 def test_weighted_tiles_partition_exactly(n, caps):
-    tiles = tile_weighted(n, caps)
+    tiles = as_tiles(tile_weighted(n, caps))
     # Exact cover: contiguous, in order, starting at 0 and ending at n.
     cursor = 0
     for tile in tiles:
@@ -49,6 +51,6 @@ def test_weighted_tiles_partition_exactly(n, caps):
 def test_uniform_capacities_give_balanced_tiles(n, k, cap):
     """Equal capacities degenerate to (nearly) equal tiles: sizes differ by
     at most one, like Algorithm 1's floor(N/C) + remainder."""
-    tiles = tile_weighted(n, [cap] * k)
+    tiles = as_tiles(tile_weighted(n, [cap] * k))
     sizes = [t.size for t in tiles]
     assert max(sizes) - min(sizes) <= 1
