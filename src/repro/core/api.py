@@ -58,8 +58,11 @@ from repro.core.partition import PartitionSpec, spec_from_map_item
 
 #: body(lo, hi, arrays, scalars) -> None, writing into the output arrays.
 TileBody = Callable[[int, int, Mapping[str, object], Mapping[str, Union[int, float]]], None]
-#: flops consumed by iteration i given the scalar environment.
-FlopsPerIter = Callable[[int, Mapping[str, Union[int, float]]], float]
+#: flops consumed by iterations ``i`` (an int64 array) given the scalar
+#: environment: elementwise, a scalar or an array shaped like ``i``.
+FlopsPerIter = Callable[[np.ndarray, Mapping[str, Union[int, float]]], Union[float, np.ndarray]]
+#: Cells in one chunk of :meth:`ParallelLoop.tile_flops`'s padded gather.
+_GATHER_CELLS = 1 << 20
 
 
 class RegionError(Exception):
@@ -130,19 +133,48 @@ class ParallelLoop:
             raise RegionError(f"negative trip count {n} for loop over {self.loop_var!r}")
         return n
 
-    def flops_for(self, iteration: int, env: Mapping[str, Union[int, float]]) -> float:
-        if self.flops_per_iter is None:
-            return 0.0
-        if callable(self.flops_per_iter):
-            return float(self.flops_per_iter(iteration, env))
-        return float(self.flops_per_iter)
+    def tile_flops(self, lo: np.ndarray, hi: np.ndarray,
+                   env: Mapping[str, Union[int, float]]) -> np.ndarray:
+        """Flops of every tile ``[lo[j], hi[j])`` as a float64 column.
 
-    def tile_flops(self, lo: int, hi: int, env: Mapping[str, Union[int, float]]) -> float:
-        if self.flops_per_iter is None:
-            return 0.0
-        if not callable(self.flops_per_iter):
-            return float(self.flops_per_iter) * (hi - lo)
-        return sum(self.flops_for(i, env) for i in range(lo, hi))
+        A callable ``flops_per_iter`` is called once, with every iteration
+        from ``lo.min()`` to ``hi.max()`` as an int64 array, and must be
+        elementwise: it returns a scalar or an array of that shape.  Each
+        tile's flops add in iteration order from its first iteration —
+        ``np.add.accumulate`` along the rows of a zero-padded
+        ``(tiles x width)`` gather — so the sums match a sequential loop
+        on every interpreter.
+        """
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        fpi = self.flops_per_iter
+        if fpi is None:
+            return np.zeros(len(lo), dtype=np.float64)
+        if not callable(fpi):
+            return float(fpi) * (hi - lo)
+        width = hi - lo
+        flops = np.zeros(len(lo), dtype=np.float64)
+        if not np.any(width > 0):
+            return flops
+        first = int(lo.min())
+        iterations = np.arange(first, int(hi.max()), dtype=np.int64)
+        values = np.asarray(fpi(iterations, env), dtype=np.float64)
+        if values.shape != iterations.shape:
+            if values.ndim:
+                raise RegionError(
+                    f"flops_per_iter of loop {self.loop_var!r} must be elementwise: "
+                    f"called with {iterations.shape[0]} iterations it returned "
+                    f"shape {values.shape}")
+            values = np.full(iterations.shape, values)
+        cols = np.arange(int(width.max()), dtype=np.int64)
+        # Bound the padded gather: a chunk of rows at a time.
+        rows = max(1, _GATHER_CELLS // cols.size)
+        for s in range(0, len(lo), rows):
+            inside = cols < width[s:s + rows, None]
+            at = np.where(inside, lo[s:s + rows, None] - first + cols, 0)
+            grid = np.where(inside, values[at], 0.0)
+            flops[s:s + rows] = np.add.accumulate(grid, axis=1)[:, -1]
+        return flops
 
 
 class TargetRegion:

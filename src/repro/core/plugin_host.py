@@ -68,7 +68,7 @@ class HostDevice(Device):
         local_arrays: dict[str, np.ndarray] = {}
         for loop in region.loops:
             n = loop.trip_count_value(scalars)
-            total_flops += loop.tile_flops(0, n, scalars)
+            total_flops += float(loop.tile_flops(np.array([0]), np.array([n]), scalars)[0])
             if mode == ExecutionMode.FUNCTIONAL:
                 self._run_loop(loop, n, region, buffers, scalars, local_arrays)
         # Sequential native time: the Figure-4 speedup baseline.

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping, Union
+
+import numpy as np
 
 from repro.cloud.credentials import Credentials
-from repro.core.api import offload
+from repro.core.api import TargetRegion, offload
 from repro.core.buffers import ExecutionMode
 from repro.core.config import CloudConfig
 from repro.core.plugin_cloud import CloudDevice
@@ -21,7 +24,7 @@ from repro.core.report import OffloadReport
 from repro.core.runtime import OffloadRuntime
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.compute import ComputeModel
-from repro.workloads.specs import WORKLOADS, WorkloadSpec
+from repro.workloads.specs import WORKLOADS
 
 #: The paper's x-axis: 8 to 256 dedicated CPU cores on a 16-worker cluster.
 CORE_SWEEP = (8, 16, 32, 64, 128, 256)
@@ -71,11 +74,10 @@ class ExperimentPoint:
         return 1.0 - self.speedup_spark / self.speedup_computation
 
 
-def _total_flops(spec: WorkloadSpec, size: int) -> float:
-    region = spec.build_region()
-    scalars = spec.scalars(size)
+def _total_flops(region: TargetRegion, scalars: Mapping[str, Union[int, float]]) -> float:
     return sum(
-        loop.tile_flops(0, loop.trip_count_value(scalars), scalars)
+        float(loop.tile_flops(np.array([0]), np.array([loop.trip_count_value(scalars)]),
+                              scalars)[0])
         for loop in region.loops
     )
 
@@ -109,7 +111,7 @@ def run_point(
         densities=densities,
         mode=ExecutionMode.MODELED,
     )
-    seq = ComputeModel(calibration).sequential_time(_total_flops(spec, actual_size))
+    seq = ComputeModel(calibration).sequential_time(_total_flops(region, scalars))
     return ExperimentPoint(
         workload=workload, cores=cores, density=density, report=report, sequential_s=seq
     )
@@ -216,7 +218,7 @@ def headline_numbers(size: int | None = None) -> dict[str, float]:
         region = spec.build_region()
         intensity = region.memory_intensity
         pt = _cached_point(name, 16, DENSE, size)
-        flops = _total_flops(spec, size if size is not None else spec.paper_size)
+        flops = _total_flops(region, spec.scalars(size))
         t_thread = cm.omp_thread_time(flops, 16, intensity)
         comp_ovh.append(1.0 - t_thread / pt.report.computation_s)
         spark_ovh.append(1.0 - t_thread / pt.report.spark_job_s)

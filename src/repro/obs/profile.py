@@ -42,6 +42,8 @@ import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.obs.metrics_registry import Histogram
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.compute import ComputeModel
@@ -496,7 +498,7 @@ def _straggler_stats(spans: Sequence[Span], tile_s: Mapping[int, float],
     # tiles (heterogeneity/contention excluded): max/median of the seeded
     # per-index multipliers.
     model = ComputeModel(calibration)
-    noises = sorted(model.straggler_noise(i) for i in range(len(durs)))
+    noises = sorted(model.straggler_noise(np.arange(len(durs))).tolist())
     nmid = len(noises) // 2
     nmed = (noises[nmid] if len(noises) % 2 else
             (noises[nmid - 1] + noises[nmid]) / 2.0)

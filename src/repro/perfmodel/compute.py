@@ -17,8 +17,81 @@ Three effects shape the paper's computation curves:
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _uint32_words(values, what: str) -> np.ndarray:
+    """``values`` as one 32-bit entropy word each; anything else raises."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return arr.astype(np.uint32)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers in [0, 2**32), got dtype {arr.dtype}")
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo < 0 or hi > _MASK32:
+        raise ValueError(f"{what} must lie in [0, 2**32), got {lo if lo < 0 else hi}")
+    return arr.astype(np.uint32)
+
+
+def seed_words(seed: int, task_indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for every
+    index ``i`` at once, as an ``(n, 4)`` uint64 array.
+
+    NumPy's hashmix/mix pool algorithm over uint32 arrays.  The hash
+    constant evolves independently of the data, so it stays a Python int;
+    every array product wraps modulo 2**32 exactly like the C code.
+    """
+    seed_word = _uint32_words(seed, "straggler seed")
+    idx = _uint32_words(task_indices, "task indices").ravel()
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    # Entropy (seed, i) is two words; the pool pads with zeros.
+    zeros = np.zeros(idx.shape, dtype=np.uint32)
+    pool = [hashmix(zeros + seed_word), hashmix(idx), hashmix(zeros), hashmix(zeros)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = np.empty((idx.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    # Consecutive word pairs form the uint64s, as in generate_state.
+    return state.view(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 seed words that :func:`seed_words` already hashed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 class ComputeModel:
@@ -26,11 +99,9 @@ class ComputeModel:
 
     def __init__(self, calibration: Calibration = DEFAULT_CALIBRATION, seed: int = 7) -> None:
         self.cal = calibration
-        self._seed = seed
-        # Straggler noise is deterministic per (seed, task_index) but each
-        # draw constructs a fresh Generator (~45 us); the codegen asks for
-        # the same index up to three times per tile, so memoize.
-        self._noise_cache: dict[int, float] = {}
+        self._seed = int(_uint32_words(seed, "straggler seed"))
+        # Straggler noise for task indices 0..k-1, grown by its missing tail.
+        self._noise = np.empty(0, dtype=np.float64)
 
     # ----------------------------------------------------------- baselines
     def sequential_time(self, flops: float) -> float:
@@ -55,26 +126,31 @@ class ComputeModel:
         return 1.0 + self.cal.contention_ceiling * intensity * (k - 1) / (slots_per_node - 1)
 
     # --------------------------------------------------------------- OmpCloud
-    def straggler_noise(self, task_index: int) -> float:
-        """The seeded mean-one straggler multiplier for ``task_index``.
+    def straggler_noise(self, task_indices: np.ndarray) -> np.ndarray:
+        """The seeded mean-one straggler multipliers for ``task_indices``.
 
-        Public so the critical-path profiler can compare the *observed*
-        max/median tile skew against what the calibrated lognormal model
-        predicts for the same task count."""
-        return self._straggler_noise(task_index)
-
-    def _straggler_noise(self, task_index: int) -> float:
-        if self.cal.straggler_sigma <= 0.0:
-            return 1.0
-        cached = self._noise_cache.get(task_index)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng((self._seed, task_index))
+        Element ``j`` is bit-equal to ``lognormal(-s**2/2, s)`` drawn from
+        a fresh NumPy Generator seeded with ``(seed, task_indices[j])``.
+        The seeds are hashed for all indices at once (:func:`seed_words`);
+        per index only the PCG64 seeding and the one draw remain.  Seeds
+        and indices must lie in ``[0, 2**32)``.  Public so the
+        critical-path profiler can compare the *observed* max/median tile
+        skew against what the calibrated lognormal model predicts."""
+        idx = _uint32_words(task_indices, "task indices").astype(np.int64)
         sigma = self.cal.straggler_sigma
+        if sigma <= 0.0:
+            return np.ones(idx.shape, dtype=np.float64)
+        n_cached = len(self._noise)
+        tail = np.unique(idx[idx >= n_cached])
         # Mean-one lognormal: E[exp(N(-s^2/2, s^2))] = 1.
-        noise = float(rng.lognormal(mean=-(sigma**2) / 2.0, sigma=sigma))
-        self._noise_cache[task_index] = noise
-        return noise
+        mean = -(sigma**2) / 2.0
+        drawn = np.array([Generator(PCG64(_SeedWords(w))).lognormal(mean=mean, sigma=sigma)
+                          for w in seed_words(self._seed, tail)], dtype=np.float64)
+        table = np.concatenate([self._noise, drawn])
+        if tail.size and tail[-1] == n_cached + tail.size - 1:  # extends the prefix
+            self._noise = table
+        pos = np.where(idx < n_cached, idx, n_cached + np.searchsorted(tail, idx))
+        return table[pos]
 
     def task_timing_vec(
         self,
@@ -89,7 +165,7 @@ class ComputeModel:
 
         Task ``j`` computes ``tile_flops[j]`` at the sequential rate, slowed
         by the JNI efficiency loss, the node's memory contention and the
-        seeded straggler draw for ``task_indices[j]`` (memoized per index).
+        seeded straggler draw for ``task_indices[j]``.
         ``jni_calls`` is 1 after Algorithm 1's tiling; an untiled loop pays
         one call per iteration (the ablation bench exercises exactly this).
         With ``straggler_sigma == 0`` the whole timing pass is a handful of
@@ -104,9 +180,7 @@ class ComputeModel:
         if self.cal.straggler_sigma <= 0.0:
             compute = base * (1.0 + self.cal.jni_efficiency_loss) * cont
         else:
-            noise = np.fromiter(
-                (self._straggler_noise(int(i)) for i in task_indices),
-                dtype=np.float64, count=len(task_indices))
+            noise = self.straggler_noise(task_indices)
             compute = base * (1.0 + self.cal.jni_efficiency_loss) * cont * noise
         jni = np.full(flops.shape, self.cal.jni_call_s * max(0, jni_calls))
         return compute, jni

@@ -119,12 +119,38 @@ def test_trip_count_expression_and_int():
         _loop(trip_count="N-10").trip_count_value({"N": 5})
 
 
+def _one_tile(loop, lo, hi, env):
+    return float(loop.tile_flops(np.array([lo]), np.array([hi]), env)[0])
+
+
 def test_flops_accounting_constant_and_callable():
     loop = _loop(flops_per_iter=10.0)
-    assert loop.tile_flops(0, 5, {}) == 50.0
+    assert _one_tile(loop, 0, 5, {}) == 50.0
     loop2 = _loop(flops_per_iter=lambda i, env: i)
-    assert loop2.tile_flops(0, 4, {}) == 0 + 1 + 2 + 3
-    assert _loop().tile_flops(0, 5, {}) == 0.0
+    assert _one_tile(loop2, 0, 4, {}) == 0 + 1 + 2 + 3
+    assert _one_tile(_loop(), 0, 5, {}) == 0.0
+
+
+def test_flops_callable_is_called_once_with_all_iterations():
+    calls = []
+
+    def fpi(i, env):
+        calls.append(i)
+        return 2.0 * i
+
+    loop = _loop(flops_per_iter=fpi)
+    out = loop.tile_flops(np.array([3, 0, 7]), np.array([7, 3, 7]), {})
+    assert out.dtype == np.float64
+    assert out.tolist() == [2.0 * (3 + 4 + 5 + 6), 2.0 * (0 + 1 + 2), 0.0]
+    assert len(calls) == 1
+    assert calls[0].dtype == np.int64 and calls[0].tolist() == list(range(7))
+    assert loop.tile_flops(np.zeros(0, np.int64), np.zeros(0, np.int64), {}).shape == (0,)
+
+
+def test_flops_callable_must_be_elementwise():
+    loop = _loop(loop_var="row", flops_per_iter=lambda i, env: np.ones(2))
+    with pytest.raises(RegionError, match="'row'"):
+        loop.tile_flops(np.array([0]), np.array([5]), {})
 
 
 def test_reduction_vars_mapping():

@@ -1,8 +1,9 @@
 """Scalar reference implementations the vectorized code is checked against.
 
-The simulator computes tiles, partition windows and task timings as NumPy
-columns.  These per-object versions state the same rules one tile or one
-task at a time; the unit and property tests compare the two bit for bit.
+The simulator computes tiles, partition windows, tile flops, straggler
+noise and task timings as NumPy columns.  These per-object versions state
+the same rules one tile or one task at a time; the unit and property tests
+compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
+from repro.core.api import ParallelLoop
 from repro.core.partition import PartitionError, PartitionSpec
 from repro.perfmodel.compute import ComputeModel
 
@@ -115,7 +119,33 @@ def task_timing(
     """Slot time of one map task computing ``tile_flops``."""
     base = model.sequential_time(tile_flops)
     cont = model.contention_factor(tasks_on_node, slots_per_node, intensity)
-    noise = model.straggler_noise(task_index)
+    noise = float(model.straggler_noise(np.array([task_index]))[0])
     compute = base * (1.0 + model.cal.jni_efficiency_loss) * cont * noise
     return TaskTiming(compute_s=compute,
                       jni_s=model.cal.jni_call_s * max(0, jni_calls))
+
+
+def tile_flops_reference(loop: ParallelLoop, lo: int, hi: int,
+                         env: Mapping[str, int | float]) -> float:
+    """Flops of tile ``[lo, hi)``: one call per iteration, added in order.
+
+    An explicit loop, not ``sum()``, whose float rounding changed in
+    Python 3.12 (compensated summation).
+    """
+    fpi = loop.flops_per_iter
+    if fpi is None:
+        return 0.0
+    if not callable(fpi):
+        return float(fpi) * (hi - lo)
+    acc = 0.0
+    for i in range(lo, hi):
+        acc += float(fpi(i, env))
+    return acc
+
+
+def straggler_noise_reference(seed: int, sigma: float, task_index: int) -> float:
+    """The straggler multiplier of one task from a fresh NumPy Generator."""
+    if sigma <= 0.0:
+        return 1.0
+    rng = np.random.default_rng((seed, task_index))
+    return float(rng.lognormal(mean=-(sigma**2) / 2.0, sigma=sigma))

@@ -77,7 +77,7 @@ def test_straggler_noise_is_small():
 def test_no_noise_when_sigma_zero():
     cal = Calibration(straggler_sigma=0.0)
     cm = ComputeModel(cal)
-    assert cm._straggler_noise(3) == 1.0
+    assert cm.straggler_noise(np.array([3])).tolist() == [1.0]
 
 
 def test_omp_thread_speedup_bends_with_contention(cm):
