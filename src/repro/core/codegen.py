@@ -443,7 +443,7 @@ class SparkJobGenerator:
                              f"Map stage for loop {loop.loop_var!r} finished in "
                              f"{job.stats.makespan_s:.3f} s "
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
-            computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
+            computation = job.timeline.span([Phase.COMPUTE, Phase.JNI_CALL])
 
         committed = self._commit_checkpoints(loop, index, lo, hi, job, costs)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)

@@ -17,7 +17,7 @@ Beyond the per-span ``X`` events the exporter emits:
 * ``s``/``f`` (flow) events linking each RETRY_BACKOFF span to the RESUBMIT
   span it led to, so a retry deep in the storage layer visually connects to
   the Spark resubmission it triggered — and each SPECULATION launch span to
-  the speculative copy's first worker span (``task-<id>-spec``), so a
+  the speculative copy's first worker span (``[<stage>/]task-<id>-spec``), so a
   straggler rescue reads as one arrow from the driver to the winning worker;
 * an optional **critical path** highlight track (pass ``critical=``, e.g.
   :attr:`~repro.obs.profile.OffloadProfile.critical_spans`): the profiler's
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.simtime.timeline import Phase, Span, Timeline
+from repro.simtime.timeline import Phase, Span, Timeline, parse_task_label
 
 #: Trace Event phase codes this exporter emits.
 PHASE_COMPLETE = "X"
@@ -105,15 +105,25 @@ def _flow_events(spans: list[Span], tids: dict[str, int]) -> list[dict[str, Any]
                     "ts": target.start * 1e6})
 
     # Speculation flows: the driver's launch span connects to the copy's
-    # first span on the rescuing worker (labelled "task-<id>-spec").  Flow
-    # ids continue the retry counter so the pairing stays collision-free.
+    # first span on the rescuing worker (a "task" label marked spec, see
+    # task_labels); of several launches for one copy (an earlier copy was
+    # lost), the last one wins.  Flow ids continue the retry counter so the
+    # pairing stays collision-free.
+    copies: dict[int, list[Span]] = {}
+    for s in spans:
+        parsed = parse_task_label(s.label)
+        if parsed is not None and parsed.kind == "task" and parsed.spec:
+            copies.setdefault(parsed.task_id, []).append(s)
+    links: dict[int, tuple[Span, Span]] = {}
     for launch in (s for s in spans if s.phase is Phase.SPECULATION):
-        label = (launch.label or "").replace("speculate-", "task-", 1)
-        target = next((s for s in spans
-                       if s.label == f"{label}-spec" and s.start >= launch.end),
-                      None)
-        if target is None:
+        parsed = parse_task_label(launch.label)
+        if parsed is None:
             continue
+        target = next((s for s in copies.get(parsed.task_id, ())
+                       if s.start >= launch.end), None)
+        if target is not None:
+            links[id(target)] = (launch, target)
+    for launch, target in links.values():
         flow_id += 1
         common = {"name": "speculate->copy", "cat": "scheduling",
                   "id": flow_id, "pid": 1}

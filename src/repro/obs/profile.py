@@ -47,7 +47,7 @@ import numpy as np
 from repro.obs.metrics_registry import Histogram
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.perfmodel.compute import ComputeModel
-from repro.simtime.timeline import Phase, Span, Timeline
+from repro.simtime.timeline import Phase, Span, parse_task_label, union_length
 
 if TYPE_CHECKING:  # import would cycle: core -> cloud -> obs -> profile
     from repro.core.report import OffloadReport
@@ -136,8 +136,10 @@ class SpanGraph:
 def _edge_kind(u: Span, v: Span) -> str:
     if u.phase is Phase.RETRY_BACKOFF and v.phase is Phase.RESUBMIT:
         return "retry"
-    if u.phase is Phase.SPECULATION and v.label.endswith("-spec"):
-        return "speculate"
+    if u.phase is Phase.SPECULATION:
+        parsed = parse_task_label(v.label)
+        if parsed is not None and parsed.spec:
+            return "speculate"
     return "seq" if (u.resource == v.resource) else "dep"
 
 
@@ -523,11 +525,10 @@ def _straggler_stats(spans: Sequence[Span], tile_s: Mapping[int, float],
     for worker, ws in windows.items():
         lo = min(s.start for s in ws)
         hi_w = max(s.end for s in ws)
-        tl = Timeline()
-        for s in spans:
-            if s.resource == worker and s.end > lo and s.start < hi_w:
-                tl.record(s.phase, max(s.start, lo), min(s.end, hi_w))
-        idle[worker] = max(0.0, (hi_w - lo) - tl.wall())
+        busy = union_length((max(s.start, lo), min(s.end, hi_w))
+                            for s in spans if s.resource == worker
+                            and s.end > lo and s.start < hi_w)
+        idle[worker] = max(0.0, (hi_w - lo) - busy)
     worst = max(sorted(idle), key=lambda w: idle[w], default="")
     return StragglerStats(
         tiles=len(durs), median_s=median, max_s=top, skew=skew,
@@ -610,13 +611,11 @@ def profile_report(
             saw_task_events = True
     if not saw_task_events:
         for s in spans:
-            if s.phase is Phase.COMPUTE and s.label.startswith("task-"):
-                tid = s.label[len("task-"):].removesuffix("-spec")
-                try:
-                    key = int(tid)
-                except ValueError:
-                    continue
-                tile_s[key] = tile_s.get(key, 0.0) + s.duration
+            parsed = (parse_task_label(s.label)
+                      if s.phase is Phase.COMPUTE else None)
+            if parsed is not None and parsed.kind == "task":
+                tile_s[parsed.task_id] = (tile_s.get(parsed.task_id, 0.0)
+                                          + s.duration)
 
     worker_busy: dict[str, float] = {}
     for s in spans:

@@ -33,7 +33,7 @@ from repro.obs.events import (
     TaskStart,
 )
 from repro.obs.metrics_registry import MetricError, MetricsRegistry
-from repro.simtime.timeline import Phase, Timeline
+from repro.simtime.timeline import Phase, Timeline, task_label
 
 
 class MetricsSubscriber:
@@ -354,7 +354,8 @@ class ReportBuilder:
         elif isinstance(e, TaskEnd):
             rep.tasks_run += 1
             rep.timeline.record(Phase.COMPUTE, e.time - e.duration_s, e.time,
-                                resource=e.worker, label=f"task-{e.task_id}")
+                                resource=e.worker,
+                                label=task_label("task", e.task_id))
         elif isinstance(e, Retry):
             rep.retries += 1
             rep.backoff_s += e.delay_s
@@ -376,7 +377,7 @@ class ReportBuilder:
             rep.tasks_speculated += 1
             rep.timeline.record(Phase.SPECULATION, e.time, e.time,
                                 resource="driver",
-                                label=f"speculate-{e.task_id}")
+                                label=task_label("speculate", e.task_id))
         elif e.kind == "speculation_won":
             rep.speculation_wins += 1
         elif e.kind == "cache_hit":

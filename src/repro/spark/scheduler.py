@@ -29,10 +29,10 @@ Scale notes (docs/PERFORMANCE.md): a job is always one columnar
 per-task objects in any mode), executors are picked through the
 amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, collects are
 ordered with one ``np.lexsort`` instead of repeated ``sorted(results, ...)``
-passes, a coarse timeline's worker phases are folded once at job end from
-the result columns, and :class:`TaskResult` objects are materialized
-lazily.  All of it
-is bit-identical to the historical object-per-task implementation —
+passes, every span is written to the timeline once at job end as columns
+derived from the result columns (:meth:`Timeline.record_columns`), and
+:class:`TaskResult` objects are materialized lazily.  All of it is
+bit-identical to the historical object-per-task implementation —
 scheduling order is observable through reports, journals and traces, and a
 property test pins the equivalence.
 """
@@ -40,8 +40,9 @@ property test pins the equivalence.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from repro.cloud.network import NetworkModel
 from repro.obs.events import (SpeculationWon, TaskEnd, TaskSpeculated,
                               TaskStart, get_bus)
 from repro.simtime.clock import SimClock
-from repro.simtime.timeline import Phase, Timeline
+from repro.simtime.timeline import (Phase, SpanColumns, Timeline,
+                                    task_labels)
 from repro.spark.broadcast import Broadcast
 from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.exindex import ExecutorIndex
@@ -76,21 +78,15 @@ MAX_TASK_FAILURES = 4
 _WORKER_PHASES = (Phase.WORKER_DECOMPRESS, Phase.JNI_CALL, Phase.COMPUTE,
                   Phase.WORKER_COMPRESS)
 
-
-def _settle(e: list, count: int, first: float, last: float,
-            busy: float) -> None:
-    """Write a run of ``count`` spans into a coarse aggregate entry.
-
-    ``first``/``last`` are the run's earliest start and latest end (its
-    cursor never moves backwards); ``busy`` already continues the entry's
-    own busy sum span by span, so it replaces it.
-    """
-    e[0] += count
-    if first < e[1]:
-        e[1] = first
-    if last > e[2]:
-        e[2] = last
-    e[3] = busy
+#: A span's place in a timeline log is ``row * _SLOTS + slot``: the
+#: launch-loop row it happened in, then its slot in that row — the order in
+#: which the launch loop meets them: the launch, the pipelined collects
+#: drained before the scatter, the scatter, speculative-copy launches, the
+#: result's worker phases (``_WINNER + p``), then those of a straggling
+#: original that a copy beat (``_LOSER + p``).  Collects after the launch
+#: loop take row ``n``.
+_LAUNCH, _COLLECT, _SCATTER, _SPECULATE, _WINNER, _LOSER = 0, 1, 2, 3, 4, 8
+_SLOTS = 16
 
 
 class JobFailedError(Exception):
@@ -174,21 +170,20 @@ class _JobRun:
         self.schedule = schedule
         self.stats = JobStats(tasks=len(self.table))
         self.index = ExecutorIndex(executors)
-        #: Coarse timelines aggregate and ignore labels: ``agg`` is their
-        #: aggregate dict (``None`` for a fine timeline).  A coarse job keeps
-        #: driver-side spans in local sums and folds the worker phases once
-        #: at job end (:meth:`_fold_worker_phases`), so the hot loop makes no
-        #: per-span call and builds no label.
-        self.fine = not timeline.coarse
-        self.agg = timeline._agg
-        #: Coarse only: entries of the driver-side keys the launch loop
-        #: touched, and ``(row, key, entry)`` for those the job creates —
-        #: held back so the fold can insert them in first-touch order.
-        self.driver_entries: dict[tuple[Phase, str], list] = {}
-        self.born: list[tuple[int, tuple[Phase, str], list]] = []
-        #: Coarse only: ``(row, start, executor position)`` of each
-        #: straggling original a speculative copy beat — the one kind of
-        #: span the result columns do not hold.
+        #: The hot loop records no span: it fills the columns below, and
+        #: :meth:`_span_columns` derives every span from them at job end.
+        #: Scatter spans, in row order.
+        self.x_start = array("d")
+        self.x_end = array("d")
+        #: Collects in NIC order: the row, its start, and the launch-loop
+        #: row it happened at (pipelined collects only; the rest are ``n``).
+        self.c_row = array("q")
+        self.c_start = array("d")
+        self.c_at = array("q")
+        #: ``(row, start, end)`` of each speculative-copy launch.
+        self.spec_launches: list[tuple[int, float, float]] = []
+        #: ``(row, start, executor position)`` of each straggling original a
+        #: speculative copy beat — its spans follow its row's winner.
         self.losers: list[tuple[int, float, int]] = []
         #: Fault bookkeeping is all dict probes; an empty plan (the common
         #: case) skips them entirely.
@@ -207,10 +202,6 @@ class _JobRun:
         self.tid = self.table.task_id.tolist()
         self.in_b = self.table.input_bytes.tolist()
         self.out_b = self.table.output_bytes.tolist()
-        #: Fine only: each row's worker-phase seconds, in _WORKER_PHASES
-        #: order (a coarse job folds the table columns at job end).
-        self.phase_s = ([col.tolist() for col in self._phase_columns()]
-                        if self.fine else None)
         # Result columns, filled as rows complete.
         self.r_start = [0.0] * n
         self.r_end = [0.0] * n
@@ -224,8 +215,6 @@ class _JobRun:
         #: post-job ``replace_executor`` cannot rewrite history.
         self.worker_ids = [ex.worker_id for ex in executors]
         self.pos_of = {id(ex): i for i, ex in enumerate(executors)}
-        stage = self.table.stage
-        self.label_prefix = f"{stage}/" if stage else ""
 
     # --------------------------------------------------------------- the job
     def run(self, broadcasts: Sequence[Broadcast]) -> JobStats:
@@ -253,36 +242,19 @@ class _JobRun:
         # -------------------------------------------- launch + scatter + run
         n = len(self.table)
         launch_s = self.costs.task_launch_s
-        record = timeline.record
         lan_time = network.lan_transfer_time
-        tid, in_b, out_b = self.tid, self.in_b, self.out_b
+        in_b, out_b = self.in_b, self.out_b
+        push_x_start, push_x_end = self.x_start.append, self.x_end.append
         measure_out = self.values is not None
         pipelined = schedule.pipelined
         driver_cursor = ready0
         nic_cursor = ready0
-        agg = self.agg
-        coarse = agg is not None
-        # Coarse driver-side spans are summed locally: busy continues the
-        # entry's own sum span by span, as ``Timeline.record`` would.
-        e_sched = e_intra = None
-        sched_busy = intra_first = intra_busy = 0.0
-        intra_n = 0
-        if coarse and n:
-            e_sched = agg.setdefault((Phase.SCHEDULING, "driver"),
-                                     [0, float("inf"), float("-inf"), 0.0])
-            sched_busy = e_sched[3]
         #: Pipelined mode: scattered rows whose result is due, as a heap of
         #: (end, task_id, row) — pop order is exactly the historical
         #: ``min(uncollected, key=(end, task_id))`` scan.
         uncollected: list[tuple[float, int, int]] = []
         for row in range(n):
-            launch_start = driver_cursor
             driver_cursor += launch_s
-            if coarse:
-                sched_busy += driver_cursor - launch_start
-            else:
-                record(Phase.SCHEDULING, launch_start, driver_cursor,
-                       resource="driver", label=f"launch-{tid[row]}")
             ready = driver_cursor
             if in_b[row] > 0:
                 if pipelined:
@@ -302,18 +274,9 @@ class _JobRun:
                         nic_cursor = self._collect_one(uncollected,
                                                        nic_cursor, row)
                 x0 = ready if ready > nic_cursor else nic_cursor
-                dt = lan_time(in_b[row])
-                nic_cursor = x0 + dt
-                if coarse:
-                    if e_intra is None:
-                        e_intra = self._entry(Phase.INTRA_TRANSFER,
-                                              "driver-nic", row)
-                        intra_first, intra_busy = x0, e_intra[3]
-                    intra_n += 1
-                    intra_busy += nic_cursor - x0
-                else:
-                    record(Phase.INTRA_TRANSFER, x0, nic_cursor,
-                           resource="driver-nic", label=f"scatter-{tid[row]}")
+                nic_cursor = x0 + lan_time(in_b[row])
+                push_x_start(x0)
+                push_x_end(nic_cursor)
                 ready = nic_cursor
             self._run_one(row, ready)
             if measure_out and out_b[row] < 0:
@@ -326,50 +289,32 @@ class _JobRun:
             if pipelined:
                 if out_b[row] > 0:
                     heapq.heappush(uncollected,
-                                   (self.r_end[row], tid[row], row))
+                                   (self.r_end[row], self.tid[row], row))
                 else:
                     self.r_collected[row] = self.r_end[row]
-        if e_sched is not None:
-            _settle(e_sched, n, ready0, driver_cursor, sched_busy)
-        if e_intra is not None:
-            # Scatters never start before the previous one ended: the first
-            # starts earliest and the last ends latest.
-            _settle(e_intra, intra_n, intra_first, nic_cursor, intra_busy)
 
         # ---------------------------------------------------------- collect
-        collect_cursor = nic_cursor
         if pipelined:
+            collect_cursor = nic_cursor
             while uncollected:
                 collect_cursor = self._collect_one(uncollected, collect_cursor,
                                                    n)
         else:
-            ends = np.array(self.r_end)
-            e_coll = None
-            coll_n, coll_first, coll_busy = 0, 0.0, 0.0
-            for row in np.lexsort((self.table.task_id, ends)).tolist():
+            r_end, r_collected = self.r_end, self.r_collected
+            push_c_row, push_c_start = self.c_row.append, self.c_start.append
+            cursor = nic_cursor
+            for row in np.lexsort((self.table.task_id,
+                                   np.array(r_end))).tolist():
                 if out_b[row] > 0:
-                    end = self.r_end[row]
-                    c0 = end if end > collect_cursor else collect_cursor
-                    dt = lan_time(out_b[row])
-                    collect_cursor = c0 + dt
-                    if coarse:
-                        if e_coll is None:
-                            e_coll = self._entry(Phase.COLLECT, "driver-nic",
-                                                 n)
-                            coll_first, coll_busy = c0, e_coll[3]
-                        coll_n += 1
-                        coll_busy += collect_cursor - c0
-                    else:
-                        record(Phase.COLLECT, c0, collect_cursor,
-                               resource="driver-nic",
-                               label=f"collect-{tid[row]}")
-                    self.r_collected[row] = collect_cursor
+                    end = r_end[row]
+                    c0 = end if end > cursor else cursor
+                    cursor = c0 + lan_time(out_b[row])
+                    push_c_row(row)
+                    push_c_start(c0)
+                    r_collected[row] = cursor
                 else:
-                    self.r_collected[row] = self.r_end[row]
-            if e_coll is not None:
-                _settle(e_coll, coll_n, coll_first, collect_cursor, coll_busy)
-        if coarse:
-            self._fold_worker_phases()
+                    r_collected[row] = r_end[row]
+        timeline.record_columns(self._span_columns(ready0))
 
         job_end = max(self.r_collected, default=ready0)
         clock.advance_to(max(job_end, clock.now))
@@ -477,15 +422,9 @@ class _JobRun:
                     # (Spark kills it, but the model bills the spent time);
                     # its spans stay on the timeline, unlabelled as a task
                     # completion — no TaskEnd is emitted for a killed copy.
-                    if self.fine:
-                        self._record_task_spans(row, res.start, ex)
-                    else:
-                        self.losers.append((row, res.start,
-                                            self.pos_of[id(ex)]))
+                    self.losers.append((row, res.start, self.pos_of[id(ex)]))
                     return
 
-            if self.fine:
-                self._record_task_spans(row, res.start, ex)
             if self.bus.is_active:
                 tid = self.tid[row]
                 self.bus.emit(TaskStart(time=res.start, resource=ex.worker_id,
@@ -544,12 +483,7 @@ class _JobRun:
             return False  # the copy cannot win; Spark would not launch it
 
         copy = copy_ex.reserve(launch_end, duration)
-        if self.fine:
-            self.timeline.record(Phase.SPECULATION, watch, launch_end,
-                                 resource="driver", label=f"speculate-{tid}")
-        else:
-            e = self._entry(Phase.SPECULATION, "driver", row)
-            _settle(e, 1, watch, launch_end, e[3] + (launch_end - watch))
+        self.spec_launches.append((row, watch, launch_end))
         self.stats.speculated_tasks += 1
         bus = self.bus
         if bus.is_active:
@@ -590,9 +524,6 @@ class _JobRun:
         saved = max(0.0, counterfactual - copy.end)
         self.stats.speculation_wins += 1
         self.stats.speculation_saved_s += saved
-        if self.fine:
-            self._record_task_spans(row, copy.start, copy_ex,
-                                    label_suffix="-spec")
         if bus.is_active:
             bus.emit(TaskStart(time=copy.start, resource=copy_ex.worker_id,
                                task_id=tid, worker=copy_ex.worker_id))
@@ -613,124 +544,98 @@ class _JobRun:
             self.values[row] = value
         return True
 
-    def _entry(self, phase: Phase, resource: str, row: int) -> list:
-        """Coarse aggregate entry of a driver-side key the job touches at
-        launch-loop ``row`` (``n`` once the loop is over).  A key the
-        timeline does not have yet is held back in ``born`` with its row."""
-        key = (phase, resource)
-        e = self.driver_entries.get(key)
-        if e is None:
-            e = self.agg.get(key)
-            if e is None:
-                e = [0, float("inf"), float("-inf"), 0.0]
-                self.born.append((row, key, e))
-            self.driver_entries[key] = e
-        return e
-
     def _collect_one(self, pending: list[tuple[float, int, int]],
                      cursor: float, at_row: int) -> float:
         """Stream the earliest-finished pending result back over the NIC
         (while the launch loop is at ``at_row``)."""
-        end, tid, row = heapq.heappop(pending)
+        end, _tid, row = heapq.heappop(pending)
         c0 = end if end > cursor else cursor
-        dt = self.network.lan_transfer_time(self.out_b[row])
-        cursor = c0 + dt
-        if self.fine:
-            self.timeline.record(Phase.COLLECT, c0, cursor,
-                                 resource="driver-nic", label=f"collect-{tid}")
-        else:
-            e = self._entry(Phase.COLLECT, "driver-nic", at_row)
-            _settle(e, 1, c0, cursor, e[3] + (cursor - c0))
+        cursor = c0 + self.network.lan_transfer_time(self.out_b[row])
+        self.c_row.append(row)
+        self.c_start.append(c0)
+        self.c_at.append(at_row)
         self.r_collected[row] = cursor
         return cursor
 
-    def _phase_columns(self) -> tuple[np.ndarray, ...]:
-        t = self.table
-        return (t.decompress_s, t.jni_s, t.compute_s, t.compress_s)
+    def _span_columns(self, ready0: float) -> Iterator[SpanColumns]:
+        """Every span of the job, one phase at a time, derived from the
+        columns the run filled.  Labels are built only for a timeline that
+        keeps a log."""
+        yield from self._driver_columns(ready0)
+        yield from self._worker_columns()
 
-    def _fold_worker_phases(self) -> None:
-        """Fold every task's worker-phase spans into the coarse aggregate.
+    def _driver_columns(self, ready0: float) -> Iterator[SpanColumns]:
+        """Launch, scatter, collect and speculation spans.  Launch spans
+        chain from ``ready0`` with ``np.add.accumulate``, which adds
+        sequentially like the launch loop's ``+=``; the scatter and collect
+        columns are read in place."""
+        table, n = self.table, len(self.table)
 
-        A task's spans chain from its start on one executor: each phase
-        with ``dur > 0`` runs ``[cursor, cursor + dur / speed)``.  Each
-        row's winning attempt is in the result columns; a straggling
-        original that speculation beat follows its row's winner, as it did
-        on the timeline.  Counts, envelopes and busy sums are NumPy
-        group-bys over those spans.  ``np.add.at`` adds sequentially in
-        record order from the value already in an entry, so busy sums are
-        bit-identical to recording span by span (a pairwise ``np.sum``
-        would not be).  Keys the job creates enter the aggregate in
-        first-touch order, interleaved with the driver-side keys the launch
-        loop created: those precede their row's worker spans.
-        """
-        agg, table = self.agg, self.table
-        n = len(table)
+        def driver(phase, kind, start, end, rows, at, slot, resource):
+            def log():
+                return (at * _SLOTS + slot,
+                        task_labels(kind, table.task_id[rows].tolist()))
+            return SpanColumns(phase, start, end, (resource,), None, log)
+
+        rows = np.arange(n, dtype=np.int64)
+        launch = np.add.accumulate(
+            np.concatenate(([ready0], np.full(n, self.costs.task_launch_s))))
+        yield driver(Phase.SCHEDULING, "launch", launch[:-1], launch[1:],
+                     rows, rows, _LAUNCH, "driver")
+        rows = np.flatnonzero(table.input_bytes > 0)
+        yield driver(Phase.INTRA_TRANSFER, "scatter",
+                     np.frombuffer(self.x_start), np.frombuffer(self.x_end),
+                     rows, rows, _SCATTER, "driver-nic")
+        rows = np.frombuffer(self.c_row, dtype=np.int64)
+        at = np.full(len(rows), n, dtype=np.int64)
+        at[:len(self.c_at)] = self.c_at
+        yield driver(Phase.COLLECT, "collect", np.frombuffer(self.c_start),
+                     np.array(self.r_collected)[rows], rows, at, _COLLECT,
+                     "driver-nic")
+        spec = np.array(self.spec_launches, dtype=np.float64).reshape(-1, 3)
+        rows = spec[:, 0].astype(np.int64)
+        yield driver(Phase.SPECULATION, "speculate", spec[:, 1], spec[:, 2],
+                     rows, rows, _SPECULATE, "driver")
+
+    def _worker_columns(self) -> Iterator[SpanColumns]:
+        """Each row's winning attempt, from the result columns, and the
+        straggling originals speculation beat, each following its row's
+        winner.  A task's spans chain from its start on one executor: each
+        phase with ``dur > 0`` runs ``[cursor, cursor + dur / speed)``."""
+        table, n = self.table, len(self.table)
         losers = np.array(self.losers, dtype=np.float64).reshape(-1, 3)
-        loser_rows = losers[:, 0].astype(np.int64)
-        at = loser_rows + 1
-        rows = np.insert(np.arange(n, dtype=np.int64), at, loser_rows)
-        cursor = np.insert(np.array(self.r_start), at, losers[:, 1])
-        pos = np.insert(np.array(self.r_worker, dtype=np.int64), at,
-                        losers[:, 2].astype(np.int64))
-        # Record order within a row: the winner's four phases, then the
-        # loser's.
-        order = rows * 8 + np.insert(np.zeros(n, dtype=np.int64), at, 4)
+        rows = np.concatenate((np.arange(n, dtype=np.int64),
+                               losers[:, 0].astype(np.int64)))
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        loser = order >= n
+        cursor = np.concatenate((self.r_start, losers[:, 1]))[order]
+        pos = np.concatenate((np.array(self.r_worker, dtype=np.int64),
+                              losers[:, 2].astype(np.int64)))[order]
+        del order  # peak memory: one row column fewer while folding
         speed = np.array([ex.speed for ex in self.executors])[pos]
         names = list(dict.fromkeys(self.worker_ids))
         slot = {name: i for i, name in enumerate(names)}
         group = np.array([slot[w] for w in self.worker_ids],
                          dtype=np.int64)[pos]
-        inf = float("inf")
-        touched: list[tuple[int, tuple[Phase, str], list | None, list]] = []
-        for p, (phase, col) in enumerate(zip(_WORKER_PHASES,
-                                             self._phase_columns())):
+        del pos
+        copy = np.zeros(n, dtype=bool)
+        copy[list(self.spec_rows)] = True
+        copy = copy[rows] & ~loser
+        columns = (table.decompress_s, table.jni_s, table.compute_s,
+                   table.compress_s)
+        for p, (phase, col) in enumerate(zip(_WORKER_PHASES, columns)):
             dur = col[rows]
             on = dur > 0.0
             nxt = np.where(on, cursor + dur / speed, cursor)
-            g, start, end = group[on], cursor[on], nxt[on]
-            cursor = nxt
-            keys = [(phase, name) for name in names]
-            old = [agg.get(k) for k in keys]
-            count = np.bincount(g, minlength=len(names))
-            lo = np.array([e[1] if e else inf for e in old])
-            hi = np.array([e[2] if e else -inf for e in old])
-            busy = np.array([e[3] if e else 0.0 for e in old])
-            first = np.full(len(names), np.iinfo(np.int64).max)
-            np.minimum.at(lo, g, start)
-            np.maximum.at(hi, g, end)
-            np.add.at(busy, g, end - start)
-            np.minimum.at(first, g, order[on])
-            for w in np.flatnonzero(count).tolist():
-                touched.append((int(first[w]) + p, keys[w], old[w],
-                                [int(count[w]), float(lo[w]), float(hi[w]),
-                                 float(busy[w])]))
-        touched.sort(key=lambda t: t[0])
-        born = self.born
-        b = 0
-        for rank, key, e, (count, lo, hi, busy) in touched:
-            while b < len(born) and born[b][0] * 8 <= rank:
-                agg[born[b][1]] = born[b][2]
-                b += 1
-            if e is None:
-                agg[key] = [count, lo, hi, busy]
-            else:
-                e[0] += count
-                e[1], e[2], e[3] = lo, hi, busy
-        for _row, key, e in born[b:]:
-            agg[key] = e
+            del dur
 
-    def _record_task_spans(self, row: int, start: float, ex: Executor,
-                           label_suffix: str = "") -> None:
-        """Record one attempt's worker phases on a fine timeline."""
-        cursor = start
-        speed = ex.speed
-        record = self.timeline.record
-        resource = ex.worker_id
-        label = f"{self.label_prefix}task-{self.tid[row]}{label_suffix}"
-        for phase, col in zip(_WORKER_PHASES, self.phase_s):
-            dur = col[row]
-            if dur > 0.0:
-                scaled = dur / speed
-                record(phase, cursor, cursor + scaled,
-                       resource=resource, label=label)
-                cursor += scaled
+            def log(on=on, p=p):
+                rank = rows[on] * _SLOTS + np.where(loser[on], _LOSER,
+                                                    _WINNER) + p
+                return rank, task_labels("task",
+                                         table.task_id[rows[on]].tolist(),
+                                         table.stage, copy[on].tolist())
+            yield SpanColumns(phase, cursor[on], nxt[on], names, group[on],
+                              log)
+            cursor = nxt

@@ -238,3 +238,48 @@ def test_profiler_chain_exports_cleanly(tmp_path):
     validate_trace(trace)
     crit = [e for e in trace["traceEvents"] if e.get("cat") == "critical-path"]
     assert len(crit) == len(prof.critical_indices)
+
+
+def test_speculation_flows_reach_stage_labelled_copies():
+    """A real offload labels copy spans ``<loop>/task-<id>-spec``; every
+    speculation win still gets its launch->copy arrow."""
+    import dataclasses
+
+    from repro.core.api import ParallelLoop, TargetRegion, offload
+    from repro.core.buffers import ExecutionMode
+    from repro.core.plugin_cloud import CloudDevice
+    from repro.core.runtime import OffloadRuntime
+    from repro.metrics.figures import demo_config
+    from repro.metrics.tracing import validate_trace
+    from repro.perfmodel.calibration import DEFAULT_CALIBRATION
+    from repro.spark.schedule import ScheduleConfig
+
+    region = TargetRegion(
+        name="spec",
+        pragmas=["omp target device(CLOUD)",
+                 "omp map(to: A[:N*R]) map(from: C[:N*R])"],
+        loops=[ParallelLoop(
+            pragma="omp parallel for schedule(static)",
+            loop_var="i", trip_count="N",
+            reads=("A",), writes=("C",),
+            partition_pragma="omp target data map(to: A[i*R:(i+1)*R]) "
+                             "map(from: C[i*R:(i+1)*R])",
+            flops_per_iter=1.0e9,
+            body=None,
+        )],
+    )
+    cal = dataclasses.replace(DEFAULT_CALIBRATION, straggler_sigma=0.3)
+    rt = OffloadRuntime()
+    rt.register(CloudDevice(demo_config(3), physical_cores=48,
+                            calibration=cal,
+                            schedule=ScheduleConfig(speculation=True),
+                            worker_speeds=(1.0, 1.0, 0.25)))
+    report = offload(region, scalars={"N": 60, "R": 3}, runtime=rt,
+                     mode=ExecutionMode.MODELED)
+    assert report.speculation_wins > 0
+    trace = to_chrome_trace(report.timeline)
+    validate_trace(trace)
+    flows = [e for e in trace["traceEvents"]
+             if e.get("name") == "speculate->copy"]
+    assert len([e for e in flows if e["ph"] == "s"]) == report.speculation_wins
+    assert len([e for e in flows if e["ph"] == "f"]) == report.speculation_wins

@@ -196,8 +196,31 @@ def test_chaos_recovery_bench_resume_beats_restart():
     assert ms["full_s"] > ms["full_s_healthy"]
 
 
+def _first_difference(want, got, path="$"):
+    """JSON path and both values of the first place two payloads differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            if key not in want or key not in got:
+                return f"{path}.{key}: only in {'got' if key in got else 'baseline'}"
+            found = _first_difference(want[key], got[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        for i, (w, g) in enumerate(zip(want, got)):
+            found = _first_difference(w, g, f"{path}[{i}]")
+            if found:
+                return found
+        if len(want) != len(got):
+            return f"{path}: length {len(want)} in baseline, {len(got)} now"
+        return None
+    if type(want) is not type(got) or want != got:
+        return f"{path}: baseline {want!r}, now {got!r}"
+    return None
+
+
 def test_committed_baselines_match_current_model():
-    """The checked-in CI baselines must stay reproducible on this tree."""
+    """The checked-in CI baselines must regenerate byte for byte."""
     import os
 
     root = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -206,8 +229,14 @@ def test_committed_baselines_match_current_model():
     assert len(names) == 15
     for fname in names:
         baseline = load_bench(os.path.join(root, fname))
-        current = run_benchmark(baseline["benchmark"], quick=True)
-        assert compare(baseline, current) == []
+        current = json.loads(json.dumps(
+            run_benchmark(baseline["benchmark"], quick=True)))
+        assert current == baseline, (
+            f"{fname}: {_first_difference(baseline, current)}")
+        with open(os.path.join(root, fname)) as fh:
+            committed = fh.read()
+        regenerated = json.dumps(current, indent=2, sort_keys=True) + "\n"
+        assert regenerated == committed, f"{fname}: same payload, other bytes"
 
 
 def test_scaling_size_probe_keeps_grid_budget(monkeypatch):

@@ -355,3 +355,42 @@ def test_inferred_upload_scale_without_events_is_none():
     scale = inferred_upload_scale(spec.build_region("CLOUD"),
                                   spec.scalars(spec.test_size), p, events=())
     assert scale is None
+
+
+def test_tile_seconds_without_events_come_from_compute_span_labels():
+    """Without an event stream, tiles come from the stage-labelled COMPUTE
+    spans: one key per task, holding the sum of that task's spans."""
+    spec = WORKLOADS["gemm"]
+    bus = EventBus(keep_history=True)
+    rt = OffloadRuntime()
+    rt.register(CloudDevice(demo_config(4), physical_cores=32))
+    with use_bus(bus):
+        rep = offload(spec.build_region("CLOUD"), scalars=spec.scalars(512),
+                      runtime=rt, mode=ExecutionMode.MODELED)
+    with_events = profile_report(rep, events=bus.events)
+    without = profile_report(rep)
+    assert len(with_events.tile_s) == 32
+    assert set(without.tile_s) == set(with_events.tile_s)
+    for tid, secs in without.tile_s.items():
+        mine = [s.duration for s in rep.timeline.spans
+                if s.phase is Phase.COMPUTE
+                and s.label.split("/")[-1] in (f"task-{tid}",
+                                               f"task-{tid}-spec")]
+        assert mine and secs == sum(mine)
+    assert without.straggler is not None
+    assert without.straggler.tiles == 32
+
+
+def test_idle_gaps_do_not_depend_on_the_coarse_default():
+    from repro.simtime import coarse_timelines
+
+    rep = _report([
+        (Phase.COMPUTE, 0.0, 1.0, "w0", "task-1"),
+        (Phase.COMPUTE, 3.0, 4.0, "w0", "task-2"),
+        (Phase.INTRA_TRANSFER, 1.0, 1.5, "w0"),
+        (Phase.COMPUTE, 0.0, 4.0, "w1", "task-3"),
+    ])
+    outside = profile_report(rep).straggler
+    with coarse_timelines():
+        inside = profile_report(rep).straggler
+    assert outside.idle_s == inside.idle_s == {"w0": 1.5, "w1": 0.0}

@@ -219,10 +219,11 @@ def test_mixed_chain_through_fine_accumulator_is_lossless():
     assert report._agg[(Phase.CLUSTER_INIT, "cluster")] == [1, 0.0, 1.0, 1.0]
 
 
-def test_fine_accumulator_queries_fold_carried_aggregates():
+def test_fine_accumulator_absorbing_coarse_becomes_coarse():
     fine, job = _fine_and_coarse()
     acc = Timeline(coarse=False)
-    acc.extend(job)  # all carried, no real spans
+    acc.extend(job)  # the log is dropped: the aggregates stay exact
+    assert acc.coarse
     assert acc.busy() == fine.busy()
     assert acc.span() == fine.span()
     assert acc.by_resource() == fine.by_resource()
@@ -231,3 +232,133 @@ def test_fine_accumulator_queries_fold_carried_aggregates():
     assert labels == ["coarse:1", "coarse:1", "coarse:2"]
     kept = acc.filter([Phase.SCHEDULING])
     assert kept.busy() == 0.5
+
+
+def test_fine_timeline_keeps_log_and_aggregates():
+    fine, coarse = _fine_and_coarse()
+    assert fine._agg == coarse._agg
+    assert [(s.start, s.end) for s in fine.spans] == [
+        (0.0, 2.0), (1.0, 4.0), (5.0, 6.0), (0.0, 0.5)]
+    other = Timeline()
+    other.record(Phase.COMPUTE, 6.0, 7.0, resource="w1", label="x")
+    fine.extend(other)
+    assert not fine.coarse and len(fine) == 5
+    assert fine.spans[-1].label == "x"
+    assert fine._agg[(Phase.COMPUTE, "w1")] == [2, 5.0, 7.0, 2.0]
+
+
+def test_wall_is_exact_over_the_log_and_bounds_without_it():
+    fine, coarse = _fine_and_coarse()
+    fine.record(Phase.COMPUTE, 10.0, 11.0, resource="w0")
+    coarse.record(Phase.COMPUTE, 10.0, 11.0, resource="w0")
+    assert fine.wall(Phase.COMPUTE) == 6.0  # [0, 4) + [5, 6) + [10, 11)
+    assert coarse.wall(Phase.COMPUTE) == 11.0  # w0's envelope is [0, 11)
+
+
+def test_busy_and_by_resource_ignore_key_order():
+    # Summed left to right, 1e16 + 1 + 1 and 1 + 1 + 1e16 differ.
+    entries = [(Phase.COMPUTE, 1e16), (Phase.JNI_CALL, 1.0),
+               (Phase.WORKER_COMPRESS, 1.0)]
+    forward, backward = Timeline(), Timeline()
+    for tl, order in ((forward, entries), (backward, entries[::-1])):
+        for phase, busy in order:
+            tl.record(phase, 0.0, busy, resource="w0")
+    assert forward.busy() == backward.busy() == 1.0000000000000002e16
+    assert forward.by_resource() == backward.by_resource()
+
+
+def test_span_of_selected_phases():
+    tl = Timeline()
+    tl.record(Phase.HOST_UPLOAD, 0.0, 1.0)
+    tl.record(Phase.JNI_CALL, 2.0, 2.5, resource="w0")
+    tl.record(Phase.COMPUTE, 2.5, 6.0, resource="w0")
+    tl.record(Phase.COLLECT, 6.0, 9.0, resource="driver-nic")
+    assert tl.span([Phase.COMPUTE, Phase.JNI_CALL]) == 4.0
+    assert tl.span([Phase.BROADCAST]) == 0.0
+    assert tl.span() == 9.0
+
+
+# ----------------------------------------------------------- column records
+import numpy as np  # noqa: E402
+
+from repro.simtime.timeline import (  # noqa: E402
+    SpanColumns,
+    TaskLabel,
+    parse_task_label,
+    task_label,
+    task_labels,
+    union_length,
+)
+
+
+def _columns(calls):
+    """Two runs of columns; ``calls`` counts label requests."""
+    def log(rank, labels):
+        def get():
+            calls.append(1)
+            return np.array(rank), labels
+        return get
+    return [
+        SpanColumns(Phase.COMPUTE, np.array([0.0, 0.1, 0.5]),
+                    np.array([0.1, 0.4, 0.9]), ("w0", "w1"),
+                    np.array([0, 1, 0]), log([1, 3, 5], ["a", "b", "c"])),
+        SpanColumns(Phase.SCHEDULING, np.array([0.0, 0.3]),
+                    np.array([0.3, 0.7]), ("driver",), None,
+                    log([0, 3], ["d", "e"])),
+    ]
+
+
+def test_record_columns_equals_recording_span_by_span():
+    by_span = Timeline(coarse=True)
+    by_span.record(Phase.COMPUTE, 0.0, 0.2, resource="w0")  # pre-existing
+    for phase, a, b, res in [(Phase.COMPUTE, 0.0, 0.1, "w0"),
+                             (Phase.COMPUTE, 0.1, 0.4, "w1"),
+                             (Phase.COMPUTE, 0.5, 0.9, "w0"),
+                             (Phase.SCHEDULING, 0.0, 0.3, "driver"),
+                             (Phase.SCHEDULING, 0.3, 0.7, "driver")]:
+        by_span.record(phase, a, b, resource=res)
+    calls: list[int] = []
+    columns = Timeline(coarse=True)
+    columns.record(Phase.COMPUTE, 0.0, 0.2, resource="w0")
+    columns.record_columns(_columns(calls))
+    assert columns._agg == by_span._agg
+    assert calls == []  # no log: labels are never built
+
+
+def test_record_columns_logs_in_rank_order():
+    calls: list[int] = []
+    tl = Timeline()
+    tl.record_columns(_columns(calls))
+    assert calls == [1, 1]
+    # Equal ranks (3) keep run order: the COMPUTE run came first.
+    assert [s.label for s in tl.spans] == ["d", "a", "b", "e", "c"]
+    assert [s.resource for s in tl.spans] == ["driver", "w0", "w1",
+                                              "driver", "w0"]
+    refold = Timeline(coarse=True)
+    for s in tl.spans:
+        refold.record(s.phase, s.start, s.end, s.resource)
+    assert refold._agg == tl._agg
+
+
+def test_task_labels_round_trip():
+    assert task_label("launch", 7) == "launch-7"
+    assert task_label("task", 100003, "i", spec=True) == "i/task-100003-spec"
+    assert task_labels("task", [3, 4], "j", [False, True]) == [
+        "j/task-3", "j/task-4-spec"]
+    for label, parsed in [
+        ("launch-7", TaskLabel("launch", 7)),
+        ("i/task-100003-spec", TaskLabel("task", 100003, "i", True)),
+        ("task-5", TaskLabel("task", 5)),
+        ("speculate-12", TaskLabel("speculate", 12)),
+    ]:
+        assert parse_task_label(label) == parsed
+        assert task_label(*parsed) == label
+    for other in ("", "coarse:3", "broadcast-b1", "task-", "gemm/x",
+                  "spot-reclaimed", "resubmit-2x"):
+        assert parse_task_label(other) is None
+
+
+def test_union_length():
+    assert union_length([]) == 0.0
+    assert union_length([(3.0, 4.0), (0.0, 2.0), (1.0, 2.5)]) == 3.5
+    assert union_length([(0.0, 1.0), (1.0, 2.0)]) == 2.0
