@@ -18,7 +18,7 @@ from repro.core.buffers import Buffer, ExecutionMode
 from repro.core.device import Device, DeviceError
 from repro.core.omp_ast import REDUCTION_OPS, MapType
 from repro.core.report import OffloadReport
-from repro.obs.events import ResidentHit, TaskEnd, TaskStart, get_bus
+from repro.obs.events import ResidentHit, TaskBatch, get_bus
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.compute import ComputeModel
 
@@ -76,10 +76,11 @@ class HostDevice(Device):
         report.computation_s = seq
         report.spark_job_s = seq  # no cluster: the "job" is the computation
         # The host runs the whole region as one sequential "task".
-        bus = get_bus()
-        bus.emit(TaskStart(time=0.0, resource="host", task_id=0, worker="host"))
-        bus.emit(TaskEnd(time=seq, resource="host", task_id=0, worker="host",
-                         duration_s=seq))
+        zero = np.zeros(1, dtype=np.int64)
+        get_bus().emit(TaskBatch(
+            time=seq, resource="host", task_id=zero, worker_pos=zero,
+            worker_ids=("host",), start=np.zeros(1), end=np.array([seq]),
+            duration_s=np.array([seq]), attempts=np.ones(1, dtype=np.int64)))
         return report
 
     # -------------------------------------------------------------- internals

@@ -873,14 +873,15 @@ def run_fusion_wire_bytes(
 #: *wall-clock* ceiling on one modeled offload of ``tasks`` one-iteration
 #: tiles across ``workers`` nodes — the simulation-core scalability contract
 #: documented in docs/PERFORMANCE.md.  Quick mode (CI) runs the small points;
-#: full mode adds the tentpole 10k-worker / 1M-task point, which must
-#: complete within 30 s of wall time.
+#: full mode adds the tentpole 10k-worker / 1M-task point.  Each budget is
+#: about 3x the median of three measured walls with the metrics bus
+#: attached, and never under 5 s.
 SCALING_GRID_QUICK = (
-    (100, 10_000, 30.0),
-    (1_000, 100_000, 60.0),
+    (100, 10_000, 5.0),
+    (1_000, 100_000, 5.0),
 )
 SCALING_GRID_FULL = SCALING_GRID_QUICK + (
-    (10_000, 1_000_000, 30.0),
+    (10_000, 1_000_000, 25.0),
 )
 
 
@@ -918,7 +919,6 @@ def run_scaling(
     is on the grid keeps its grid budget, any other point runs unbudgeted.
     """
     import dataclasses
-    from contextlib import nullcontext
     from time import perf_counter
 
     from repro.core.api import ParallelLoop, TargetRegion, offload
@@ -964,16 +964,8 @@ def run_scaling(
         rt.register(CloudDevice(demo_config(workers),
                                 physical_cores=workers * 8,
                                 calibration=cal))
-        # Points up to 100k tasks run instrumented (their event counts and
-        # metrics land in the payload).  Larger points run with the bus
-        # detached: per-task TaskStart/TaskEnd delivery costs ~35 us/task of
-        # pure observability-plane overhead (`python3 perfbench/run.py
-        # --workload sim_faults --seed 1 --seconds 15 --trace 1`:
-        # obs.overhead_s / 20,000 tasks), and the wall budget is a contract
-        # on the *simulation core* (docs/PERFORMANCE.md).
-        instrumented = tasks <= 100_000
         t0 = perf_counter()
-        with use_bus(bus) if instrumented else nullcontext():
+        with use_bus(bus):
             with coarse_timelines():
                 rep = offload(region_for(), scalars={"N": tasks, "R": 4},
                               runtime=rt, mode=ExecutionMode.MODELED,

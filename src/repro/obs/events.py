@@ -21,6 +21,8 @@ and to the Spark resubmission it triggered.
 Emission is deliberately cheap: with no subscribers and history disabled
 (the default process-wide bus), :meth:`EventBus.emit` is a lock-free early
 return, so the instrumented hot paths cost nothing when nobody is watching.
+Tasks are never events one at a time: a job reports its completed tasks
+as one columnar :class:`TaskBatch`, so delivery costs per job, not per task.
 
 All timestamps are *simulated* seconds from the emitting layer's
 :class:`~repro.simtime.clock.SimClock`; layers without a clock stamp 0.0.
@@ -32,8 +34,10 @@ import itertools
 import logging
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Iterable, Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, ClassVar, Iterable, Iterator
+
+import numpy as np
 
 from repro.obs.metrics_registry import Counter
 
@@ -172,24 +176,52 @@ class JobEnd(Event):
     tasks_recomputed: int = 0
 
 
-@dataclass(frozen=True)
-class TaskStart(Event):
-    """One task began executing on a worker (``time`` = slot start)."""
-
-    kind: ClassVar[str] = "task_start"
-    task_id: int = 0
-    worker: str = ""
+def _column(dtype: type) -> Any:
+    return field(default_factory=lambda: np.zeros(0, dtype))
 
 
-@dataclass(frozen=True)
-class TaskEnd(Event):
-    """The task finished (``time`` = slot end)."""
+@dataclass(frozen=True, eq=False)
+class TaskBatch(Event):
+    """One job's completed tasks as columns, one row per task.
 
-    kind: ClassVar[str] = "task_end"
-    task_id: int = 0
-    worker: str = ""
-    duration_s: float = 0.0
-    attempts: int = 1
+    The OMPT analogue is buffered device tracing
+    (``ompt_callback_buffer_complete``): the scheduler hands over one buffer
+    per job instead of calling out per task.  Rows are in launch order; a
+    speculative copy that won sits in its row's place, and an original it
+    beat has no row.  A job that fails (``JobFailedError``) still delivers
+    the rows it completed.  ``worker_ids`` are the executors' worker ids at
+    job start and ``worker_pos`` indexes them; ``duration_s`` is each task's
+    slot duration on its worker (intended duration / executor speed).
+    ``time`` is the batch's last task end.
+    """
+
+    kind: ClassVar[str] = "task_batch"
+    task_id: np.ndarray = _column(np.int64)
+    worker_pos: np.ndarray = _column(np.int64)
+    worker_ids: tuple[str, ...] = ()
+    start: np.ndarray = _column(np.float64)
+    end: np.ndarray = _column(np.float64)
+    duration_s: np.ndarray = _column(np.float64)
+    attempts: np.ndarray = _column(np.int64)
+
+    # Array columns have no value equality: batches compare by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def workers(self) -> tuple[list[str], np.ndarray]:
+        """Distinct worker names (first-position order) and each row's index
+        into them — executors on one worker share its name."""
+        names = list(dict.fromkeys(self.worker_ids))
+        slot = {name: i for i, name in enumerate(names)}
+        of_pos = np.array([slot[w] for w in self.worker_ids], dtype=np.intp)
+        return names, of_pos[self.worker_pos]
+
+    def to_dict(self) -> dict[str, object]:
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in super().to_dict().items()}
 
 
 @dataclass(frozen=True)
@@ -522,9 +554,9 @@ class EventBus:
     def is_active(self) -> bool:
         """Whether anything would observe an emitted event right now.
 
-        Read without the lock (benign race): hot emitters on per-task paths
-        use this to skip *constructing* event objects entirely when nobody is
-        listening — :meth:`emit`'s own fast path still pays for the record
+        Read without the lock (benign race): the scheduler uses this to skip
+        building a job's :class:`TaskBatch` columns when nobody is listening
+        — :meth:`emit`'s own fast path still pays for the record
         allocation.  Subscribers attaching mid-job are not a supported
         pattern; attach before the run starts.
         """

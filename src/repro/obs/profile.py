@@ -602,14 +602,13 @@ def profile_report(
     add_bytes(Phase.INTRA_TRANSFER, report.cluster_bytes_wire)
 
     # Tiles: total slot seconds per task id (speculative copies included,
-    # via events when available, else worker compute spans).
+    # via task batches when available, else worker compute spans).
     tile_s: dict[int, float] = {}
-    saw_task_events = False
     for e in evs:
-        if getattr(e, "kind", "") == "task_end":
-            tile_s[e.task_id] = tile_s.get(e.task_id, 0.0) + e.duration_s
-            saw_task_events = True
-    if not saw_task_events:
+        if getattr(e, "kind", "") == "task_batch":
+            for tid, dur in zip(e.task_id.tolist(), e.duration_s.tolist()):
+                tile_s[tid] = tile_s.get(tid, 0.0) + dur
+    if not tile_s:
         for s in spans:
             parsed = (parse_task_label(s.label)
                       if s.phase is Phase.COMPUTE else None)

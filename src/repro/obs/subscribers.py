@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.obs.events import (
     Event,
     EventBus,
@@ -29,11 +31,11 @@ from repro.obs.events import (
     Retry,
     TargetBegin,
     TargetEnd,
-    TaskEnd,
-    TaskStart,
+    TaskBatch,
 )
 from repro.obs.metrics_registry import MetricError, MetricsRegistry
-from repro.simtime.timeline import Phase, Timeline, task_label
+from repro.simtime.timeline import (Phase, SpanColumns, Timeline, task_label,
+                                    task_labels)
 
 
 class MetricsSubscriber:
@@ -191,15 +193,8 @@ class MetricsSubscriber:
             pass  # counted on completion
         elif kind == "job_end":
             self._jobs.inc()
-        elif kind == "task_start":
-            self._active_tasks.inc()
-            if e.worker not in self._workers:
-                self._workers.add(e.worker)
-                self._workers_seen.set(len(self._workers))
-        elif kind == "task_end":
-            self._active_tasks.dec()
-            self._tasks.inc(worker=e.worker)
-            self._task_seconds.observe(e.duration_s)
+        elif kind == "task_batch":
+            self._fold_tasks(e)
         elif kind == "task_speculated":
             self._speculated.inc(worker=e.copy_worker)
         elif kind == "speculation_won":
@@ -252,6 +247,24 @@ class MetricsSubscriber:
             ).inc(e.bytes_saved)
         elif kind == "log":
             self._logs.inc(level=e.level)
+
+    def _fold_tasks(self, batch: TaskBatch) -> None:
+        """Per-worker task counts, the duration histogram and the worker
+        gauges from one batch — the same state as starting and ending each
+        row's task in turn."""
+        if not len(batch):
+            return
+        # Every row's task started and ended inside the batch.
+        self._active_tasks.inc(0.0)
+        names, where = batch.workers()
+        counts = np.bincount(where, minlength=len(names)).tolist()
+        ran = {name: c for name, c in zip(names, counts) if c}
+        for name, c in ran.items():
+            self._tasks.inc(c, worker=name)
+        if not self._workers.issuperset(ran):
+            self._workers.update(ran)
+            self._workers_seen.set(len(self._workers))
+        self._task_seconds.observe_many(batch.duration_s)
 
 
 @dataclass
@@ -349,13 +362,14 @@ class ReportBuilder:
             if e.end > e.start:
                 rep.timeline.record(Phase.HOST_DOWNLOAD, e.start, e.end,
                                     resource="host", label=e.buffer)
-        elif isinstance(e, TaskStart):
-            pass  # spans are closed by TaskEnd
-        elif isinstance(e, TaskEnd):
-            rep.tasks_run += 1
-            rep.timeline.record(Phase.COMPUTE, e.time - e.duration_s, e.time,
-                                resource=e.worker,
-                                label=task_label("task", e.task_id))
+        elif isinstance(e, TaskBatch):
+            # Each task's whole slot, ending at its end, as one COMPUTE span.
+            rep.tasks_run += len(e)
+            names, where = e.workers()
+            rep.timeline.record_columns([SpanColumns(
+                Phase.COMPUTE, e.end - e.duration_s, e.end, names, where,
+                lambda: (np.arange(len(e)),
+                         task_labels("task", e.task_id.tolist())))])
         elif isinstance(e, Retry):
             rep.retries += 1
             rep.backoff_s += e.delay_s

@@ -30,8 +30,10 @@ per-task objects in any mode), executors are picked through the
 amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, collects are
 ordered with one ``np.lexsort`` instead of repeated ``sorted(results, ...)``
 passes, every span is written to the timeline once at job end as columns
-derived from the result columns (:meth:`Timeline.record_columns`), and
-:class:`TaskResult` objects are materialized lazily.  All of it is
+derived from the result columns (:meth:`Timeline.record_columns`), the
+event bus gets one columnar :class:`~repro.obs.events.TaskBatch` per job
+from the same columns, and :class:`TaskResult` objects are materialized
+lazily.  All of it is
 bit-identical to the historical object-per-task implementation —
 scheduling order is observable through reports, journals and traces, and a
 property test pins the equivalence.
@@ -47,8 +49,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.cloud.network import NetworkModel
-from repro.obs.events import (SpeculationWon, TaskEnd, TaskSpeculated,
-                              TaskStart, get_bus)
+from repro.obs.events import (SpeculationWon, TaskBatch, TaskSpeculated,
+                              get_bus)
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import (Phase, SpanColumns, Timeline,
                                     task_labels)
@@ -207,7 +209,8 @@ class _JobRun:
         self.r_end = [0.0] * n
         self.r_collected = [0.0] * n
         self.r_attempts = [1] * n
-        self.r_worker = [0] * n
+        #: -1 until the row completes (a failed job's batch skips those).
+        self.r_worker = [-1] * n
         self.spec_rows: set[int] = set()
         self.values: list[Any] | None = (
             [None] * n if self.table.closures is not None else None)
@@ -222,7 +225,7 @@ class _JobRun:
         if not alive:
             raise JobFailedError("no alive executors")
         clock, timeline, network = self.clock, self.timeline, self.network
-        schedule, stats = self.schedule, self.stats
+        stats = self.stats
         t0 = clock.now
 
         # ------------------------------------------------------- broadcasts
@@ -239,10 +242,29 @@ class _JobRun:
             stats.broadcast_s += dt
             ready0 += dt
 
-        # -------------------------------------------- launch + scatter + run
+        try:
+            self._collect(*self._launch(ready0))
+        finally:
+            # One batch per job: all rows, or the rows a failed job
+            # completed before its JobFailedError.
+            self._emit_batch()
+        timeline.record_columns(self._span_columns(ready0))
+
+        job_end = max(self.r_collected, default=ready0)
+        clock.advance_to(max(job_end, clock.now))
+        stats.makespan_s = job_end - t0
+        stats.results = self._ordered_results()
+        return stats
+
+    def _launch(self, ready0: float
+                ) -> tuple[float, list[tuple[float, int, int]]]:
+        """Launch, scatter and run every row in order, streaming pipelined
+        collects in between; returns the NIC cursor and the results still
+        uncollected (pipelined mode)."""
+        schedule = self.schedule
+        lan_time = self.network.lan_transfer_time
         n = len(self.table)
         launch_s = self.costs.task_launch_s
-        lan_time = network.lan_transfer_time
         in_b, out_b = self.in_b, self.out_b
         push_x_start, push_x_end = self.x_start.append, self.x_end.append
         measure_out = self.values is not None
@@ -292,9 +314,14 @@ class _JobRun:
                                    (self.r_end[row], self.tid[row], row))
                 else:
                     self.r_collected[row] = self.r_end[row]
+        return nic_cursor, uncollected
 
-        # ---------------------------------------------------------- collect
-        if pipelined:
+    def _collect(self, nic_cursor: float,
+                 uncollected: list[tuple[float, int, int]]) -> None:
+        """Stream the remaining results back over the NIC."""
+        n = len(self.table)
+        out_b, lan_time = self.out_b, self.network.lan_transfer_time
+        if self.schedule.pipelined:
             collect_cursor = nic_cursor
             while uncollected:
                 collect_cursor = self._collect_one(uncollected, collect_cursor,
@@ -314,13 +341,26 @@ class _JobRun:
                     r_collected[row] = cursor
                 else:
                     r_collected[row] = r_end[row]
-        timeline.record_columns(self._span_columns(ready0))
 
-        job_end = max(self.r_collected, default=ready0)
-        clock.advance_to(max(job_end, clock.now))
-        stats.makespan_s = job_end - t0
-        stats.results = self._ordered_results()
-        return stats
+    def _emit_batch(self) -> None:
+        """Deliver the completed rows as one :class:`TaskBatch`."""
+        if not self.bus.is_active:
+            return
+        pos = np.array(self.r_worker, dtype=np.int64)
+        rows = np.flatnonzero(pos >= 0)
+        pos = pos[rows]
+        end = np.array(self.r_end)[rows]
+        speed = np.array([ex.speed for ex in self.executors])
+        self.bus.emit(TaskBatch(
+            time=float(end.max()) if len(rows) else self.clock.now,
+            resource="driver",
+            task_id=self.table.task_id[rows],
+            worker_pos=pos,
+            worker_ids=tuple(self.worker_ids),
+            start=np.array(self.r_start)[rows],
+            end=end,
+            duration_s=np.array(self.dur)[rows] / speed[pos],
+            attempts=np.array(self.r_attempts, dtype=np.int64)[rows]))
 
     def _ordered_results(self) -> LazyResults:
         """Results ordered by split — lazily materialized, and sorted only
@@ -420,19 +460,11 @@ class _JobRun:
                 if won:
                     # The losing original still occupies its slot to the end
                     # (Spark kills it, but the model bills the spent time);
-                    # its spans stay on the timeline, unlabelled as a task
-                    # completion — no TaskEnd is emitted for a killed copy.
+                    # its spans stay on the timeline, but it is no task
+                    # completion: the job's TaskBatch has no row for it.
                     self.losers.append((row, res.start, self.pos_of[id(ex)]))
                     return
 
-            if self.bus.is_active:
-                tid = self.tid[row]
-                self.bus.emit(TaskStart(time=res.start, resource=ex.worker_id,
-                                        task_id=tid, worker=ex.worker_id))
-                self.bus.emit(TaskEnd(time=res.end, resource=ex.worker_id,
-                                      task_id=tid, worker=ex.worker_id,
-                                      duration_s=duration / ex.speed,
-                                      attempts=attempts))
             self.r_start[row] = res.start
             self.r_end[row] = res.end
             self.r_attempts[row] = attempts
@@ -485,14 +517,12 @@ class _JobRun:
         copy = copy_ex.reserve(launch_end, duration)
         self.spec_launches.append((row, watch, launch_end))
         self.stats.speculated_tasks += 1
-        bus = self.bus
-        if bus.is_active:
-            bus.emit(TaskSpeculated(time=watch, resource="driver",
-                                    task_id=tid,
-                                    worker=original.worker_id,
-                                    copy_worker=copy_ex.worker_id,
-                                    waited_s=watch - original_start,
-                                    median_s=self.median_s))
+        self.bus.emit(TaskSpeculated(time=watch, resource="driver",
+                                     task_id=tid,
+                                     worker=original.worker_id,
+                                     copy_worker=copy_ex.worker_id,
+                                     waited_s=watch - original_start,
+                                     median_s=self.median_s))
 
         # The copy is as mortal as any task: the fault plan applies.
         copy_death = fault_plan.death_time(copy_ex.worker_id)
@@ -524,17 +554,10 @@ class _JobRun:
         saved = max(0.0, counterfactual - copy.end)
         self.stats.speculation_wins += 1
         self.stats.speculation_saved_s += saved
-        if bus.is_active:
-            bus.emit(TaskStart(time=copy.start, resource=copy_ex.worker_id,
-                               task_id=tid, worker=copy_ex.worker_id))
-            bus.emit(TaskEnd(time=copy.end, resource=copy_ex.worker_id,
-                             task_id=tid, worker=copy_ex.worker_id,
-                             duration_s=duration / copy_ex.speed,
-                             attempts=attempts))
-            bus.emit(SpeculationWon(time=copy.end, resource=copy_ex.worker_id,
-                                    task_id=tid,
-                                    winner=copy_ex.worker_id,
-                                    loser=original.worker_id, saved_s=saved))
+        self.bus.emit(SpeculationWon(time=copy.end,
+                                     resource=copy_ex.worker_id,
+                                     task_id=tid, winner=copy_ex.worker_id,
+                                     loser=original.worker_id, saved_s=saved))
         self.r_start[row] = copy.start
         self.r_end[row] = copy.end
         self.r_attempts[row] = attempts

@@ -34,7 +34,7 @@ def test_payload_schema(quick_payload):
     assert ms["bytes_up_wire"] > 0
     # Event counts and a metrics snapshot ride along with the milestones.
     assert p["events"]["target_end"] == 1
-    assert p["events"]["task_end"] == p["events"]["task_start"] > 0
+    assert p["events"]["task_batch"] == p["events"]["job_end"] > 0
     assert "repro_offloads_total" in p["metrics"]
 
 
@@ -225,7 +225,8 @@ def test_committed_baselines_match_current_model():
 
     root = os.path.join(os.path.dirname(__file__), "..", "..",
                         "benchmarks", "baselines")
-    names = sorted(os.listdir(root))
+    names = sorted(n for n in os.listdir(root)
+                   if n.startswith("BENCH_") and n.endswith(".json"))
     assert len(names) == 15
     for fname in names:
         baseline = load_bench(os.path.join(root, fname))

@@ -19,7 +19,7 @@ from repro.obs.events import (
 
 
 def test_catalogue_is_closed_and_typed():
-    assert len(EVENT_KINDS) == 33
+    assert len(EVENT_KINDS) == 32
     for kind, cls in EVENT_TYPES.items():
         assert cls.kind == kind
         assert issubclass(cls, Event)

@@ -51,6 +51,49 @@ def test_histogram_buckets_are_cumulative():
     assert any('le="+Inf"} 3' in ln for ln in buckets)
 
 
+def _observed_one_by_one(values, buckets):
+    h = MetricsRegistry().histogram("h_seconds", buckets=buckets)
+    for v in values:
+        h.observe(v)
+    return h
+
+
+def test_observe_many_counts_values_on_bounds_as_le():
+    values = [1.0, 10.0, 0.5, 10.000000000000002, 1.0]
+    h = MetricsRegistry().histogram("h_seconds", buckets=(1.0, 10.0))
+    h.observe_many(values, op="x")
+    ref = _observed_one_by_one(values, (1.0, 10.0))
+    assert h.snapshot()["values"][0]["buckets"] == {"1": 3, "10": 4}
+    assert h.count(op="x") == 5
+    assert [v["buckets"] for v in h.snapshot()["values"]] == \
+        [v["buckets"] for v in ref.snapshot()["values"]]
+
+
+def test_observe_many_of_nothing_changes_nothing():
+    h = MetricsRegistry().histogram("h_seconds")
+    h.observe_many([])
+    assert h.snapshot()["values"] == [] and h.count() == 0
+    h.observe(2.0)
+    before = h.snapshot()
+    h.observe_many([])
+    assert h.snapshot() == before
+
+
+def test_observe_many_sums_sequentially():
+    """``[0.1] * 10`` sums to 0.9999999999999999 one by one; a pairwise
+    sum would round to 1.0.  Later batches continue from the running
+    total."""
+    h = MetricsRegistry().histogram("h_seconds")
+    h.observe_many([0.1] * 10)
+    ref = _observed_one_by_one([0.1] * 10, DEFAULT_BUCKETS)
+    assert h.sum() == ref.sum() == 0.9999999999999999
+    assert h.snapshot() == ref.snapshot()
+    h.observe(0.1)
+    h.observe_many([0.1] * 4)
+    ref = _observed_one_by_one([0.1] * 15, DEFAULT_BUCKETS)
+    assert h.snapshot() == ref.snapshot()
+
+
 def test_get_or_create_returns_same_object():
     r = MetricsRegistry()
     assert r.counter("x_total") is r.counter("x_total")

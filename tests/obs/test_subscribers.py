@@ -1,5 +1,6 @@
 """Bus subscribers: metrics folding, derived reports, log sinks."""
 
+import numpy as np
 import pytest
 
 from repro.core.api import offload
@@ -18,8 +19,7 @@ from repro.obs.events import (
     StorageOp,
     TargetBegin,
     TargetEnd,
-    TaskEnd,
-    TaskStart,
+    TaskBatch,
     use_bus,
 )
 from repro.obs.subscribers import MetricsSubscriber, ReportBuilder, SparkLogSink
@@ -47,8 +47,8 @@ def test_metrics_from_synthetic_stream():
     bus.emit(CacheHit(buffer="A", bytes_saved=1000))
     bus.emit(Retry(op="PUT", delay_s=0.5))
     bus.emit(Preemption(worker="worker-1"))
-    bus.emit(TaskStart(task_id=0, worker="w0"))
-    bus.emit(TaskEnd(task_id=0, worker="w0", duration_s=0.25))
+    bus.emit(TaskBatch(task_id=np.array([0]), worker_pos=np.array([0]),
+                       worker_ids=("w0",), duration_s=np.array([0.25])))
     bus.emit(StorageOp(store="s3", op="PUT", key="k", nbytes=64))
     bus.emit(SSHConnect(ok=True))
     bus.emit(LogEvent(level="WARN", component="X", message="m"))
@@ -148,7 +148,9 @@ def test_latest_raises_before_any_offload():
 
 def test_uncorrelated_events_are_ignored():
     builder = ReportBuilder()
-    builder(TaskEnd(task_id=1, worker="w0", duration_s=1.0))  # no corr id
+    builder(TaskBatch(task_id=np.array([1]), worker_pos=np.array([0]),
+                      worker_ids=("w0",), end=np.array([1.0]),
+                      duration_s=np.array([1.0])))  # no corr id
     assert builder.correlations() == []
 
 

@@ -1,20 +1,24 @@
 """Scalar reference implementations the vectorized code is checked against.
 
 The simulator computes tiles, partition windows, tile flops, straggler
-noise and task timings as NumPy columns.  These per-object versions state
-the same rules one tile or one task at a time; the unit and property tests
-compare the two bit for bit.
+noise and task timings as NumPy columns, and delivers a job's tasks to the
+event bus as one columnar batch.  These per-object versions state the same
+rules one tile or one task at a time; the unit and property tests compare
+the two bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.api import ParallelLoop
 from repro.core.partition import PartitionError, PartitionSpec
+from repro.obs.events import Event
+from repro.obs.metrics_registry import MetricsRegistry
+from repro.obs.subscribers import MetricsSubscriber
 from repro.perfmodel.compute import ComputeModel
 
 
@@ -149,3 +153,33 @@ def straggler_noise_reference(seed: int, sigma: float, task_index: int) -> float
         return 1.0
     rng = np.random.default_rng((seed, task_index))
     return float(rng.lognormal(mean=-(sigma**2) / 2.0, sigma=sigma))
+
+
+def fold_task_events_reference(events: Iterable[Event],
+                               registry: MetricsRegistry | None = None,
+                               ) -> MetricsRegistry:
+    """Fold a recorded event stream into ``registry`` the way a
+    :class:`MetricsSubscriber` folded per-task events.
+
+    Every event but a ``task_batch`` goes to the subscriber as is.  Each
+    batch row, in order, runs the old ``task_start`` branch and then the old
+    ``task_end`` branch: one gauge step, one counter increment and one
+    histogram observation per task.
+    """
+    sub = MetricsSubscriber(registry)
+    for e in events:
+        if e.kind != "task_batch":
+            sub(e)
+            continue
+        for pos, duration in zip(e.worker_pos.tolist(), e.duration_s.tolist()):
+            worker = e.worker_ids[pos]
+            # task_start
+            sub._active_tasks.inc()
+            if worker not in sub._workers:
+                sub._workers.add(worker)
+                sub._workers_seen.set(len(sub._workers))
+            # task_end
+            sub._active_tasks.dec()
+            sub._tasks.inc(worker=worker)
+            sub._task_seconds.observe(duration)
+    return sub.registry
